@@ -1,0 +1,423 @@
+"""Exact arithmetic for torus weights, virtual characters and localization measures.
+
+Everything is built on top of ``fractions.Fraction``; no floating point is
+used anywhere.  A :class:`Monomial` is a Laurent monomial in the square roots
+of the equivariant parameters ``t1..t4`` (subject to ``t1*t2*t3*t4 == 1``) and
+of the framing parameters ``w_il``.  Exponents are stored *doubled*, so the
+exponent entry ``2*mu`` represents ``t**mu`` and half-integer powers remain in
+integer arithmetic.
+
+A :class:`Character` is a finite Z-linear combination of monomials (a virtual
+torus representation).  The three localization measures act on characters:
+
+* ``bracket_eval``  -- the K-theoretic measure ``[x] = x^(1/2) - x^(-1/2)``,
+* ``euler_eval``    -- its cohomological linearization ``mu . s``,
+* ``theta_eval``    -- the elliptic refinement built from the Jacobi theta
+  function, returned as a truncated series in the elliptic parameter.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .series import QSeries
+
+
+class TrivialWeightError(ValueError):
+    """A measure was applied to a character with a nonzero fixed part."""
+
+
+class PoleAtPointError(ArithmeticError):
+    """A denominator weight evaluates to zero at the chosen point."""
+
+
+class FractionalPowerError(ValueError):
+    """An operation needs an integer power but got a genuine half-integer."""
+
+
+class NotMovableError(ValueError):
+    """A character that must be movable has a nonzero fixed part."""
+
+
+class SamplerExhaustedError(RuntimeError):
+    """The pole-avoiding sampler hit its retry cap."""
+
+
+class VariableRegistry:
+    """Bookkeeping for the variable slots of a fixed rank vector.
+
+    There are always four t-slots; the w-slots are the pairs ``(i, l)`` for
+    ``i = 1..4`` and ``l = 1..rvec[i-1]``, in lexicographic order.
+    """
+
+    def __init__(self, rvec):
+        rvec = tuple(int(x) for x in rvec)
+        if len(rvec) != 4 or any(x < 0 for x in rvec):
+            raise ValueError(f"rank vector must be 4 nonnegative integers, got {rvec}")
+        self.rvec = rvec
+        self.wslots = tuple((i, l) for i in range(1, 5) for l in range(1, rvec[i - 1] + 1))
+        self._slot_index = {pair: k for k, pair in enumerate(self.wslots)}
+
+    @property
+    def rank(self):
+        return len(self.wslots)
+
+    def slot(self, i, l):
+        return self._slot_index[(i, l)]
+
+    def __eq__(self, other):
+        return isinstance(other, VariableRegistry) and self.rvec == other.rvec
+
+    def __repr__(self):
+        return f"VariableRegistry(rvec={self.rvec})"
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """A Laurent monomial ``prod t_i^(texp_i/2) * prod w_s^(wexp_s/2)``.
+
+    ``texp`` and ``wexp`` hold doubled exponents.  The monomial is *canonical*
+    when ``texp[3] == 0``; the relation ``t1*t2*t3*t4 == 1`` lets any multiple
+    of ``(1,1,1,1)`` be subtracted from ``texp``.
+    """
+
+    texp: tuple
+    wexp: tuple = ()
+
+    def canonical(self):
+        c = self.texp[3]
+        if c == 0:
+            return self
+        return Monomial(tuple(e - c for e in self.texp), self.wexp)
+
+    def is_trivial(self):
+        m = self.canonical()
+        return all(e == 0 for e in m.texp) and all(e == 0 for e in m.wexp)
+
+    def __mul__(self, other):
+        if len(self.wexp) != len(other.wexp):
+            raise ValueError("monomials over different registries")
+        return Monomial(
+            tuple(a + b for a, b in zip(self.texp, other.texp)),
+            tuple(a + b for a, b in zip(self.wexp, other.wexp)),
+        ).canonical()
+
+    def inverse(self):
+        return Monomial(tuple(-e for e in self.texp), tuple(-e for e in self.wexp)).canonical()
+
+    def __pow__(self, n):
+        return Monomial(tuple(n * e for e in self.texp), tuple(n * e for e in self.wexp)).canonical()
+
+    def __repr__(self):
+        parts = []
+        for i, e in enumerate(self.texp):
+            if e:
+                parts.append(f"t{i+1}^({Fraction(e, 2)})")
+        for s, e in enumerate(self.wexp):
+            if e:
+                parts.append(f"w[{s}]^({Fraction(e, 2)})")
+        return "*".join(parts) if parts else "1"
+
+
+def t_monomial(i, power=1, half=False, nslots=0):
+    """The monomial ``t_i**power`` (or ``t_i**(power/2)`` when ``half``)."""
+    texp = [0, 0, 0, 0]
+    texp[i - 1] = power if half else 2 * power
+    return Monomial(tuple(texp), (0,) * nslots).canonical()
+
+
+def w_monomial(slot, power=1, nslots=1, half=False):
+    """The monomial ``w_slot**power`` over a registry with ``nslots`` w-slots."""
+    wexp = [0] * nslots
+    wexp[slot] = power if half else 2 * power
+    return Monomial((0, 0, 0, 0), tuple(wexp))
+
+
+def trivial_monomial(nslots=0):
+    return Monomial((0, 0, 0, 0), (0,) * nslots)
+
+
+def canonicalize(m):
+    """Unique representative of ``m`` modulo ``t1*t2*t3*t4 == 1``."""
+    return m.canonical()
+
+
+class Character:
+    """A finite integer-multiplicity multiset of monomials.
+
+    Stored as ``{canonical monomial: nonzero multiplicity}``; addition and
+    subtraction cancel exactly.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for m, mult in terms.items():
+                self._add(m, mult)
+
+    def _add(self, m, mult):
+        if mult == 0:
+            return
+        m = m.canonical()
+        new = self.terms.get(m, 0) + mult
+        if new:
+            self.terms[m] = new
+        else:
+            del self.terms[m]
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls, nslots=0):
+        return cls({trivial_monomial(nslots): 1})
+
+    @classmethod
+    def of(cls, m, mult=1):
+        return cls({m: mult})
+
+    def rank(self):
+        return sum(self.terms.values())
+
+    def __add__(self, other):
+        out = Character(self.terms)
+        for m, mult in other.terms.items():
+            out._add(m, mult)
+        return out
+
+    def __sub__(self, other):
+        out = Character(self.terms)
+        for m, mult in other.terms.items():
+            out._add(m, -mult)
+        return out
+
+    def __neg__(self):
+        return Character({m: -mult for m, mult in self.terms.items()})
+
+    def scale(self, c):
+        return Character({m: c * mult for m, mult in self.terms.items()})
+
+    def __mul__(self, other):
+        out = Character()
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                out._add(m1 * m2, c1 * c2)
+        return out
+
+    def dual(self):
+        return Character({m.inverse(): mult for m, mult in self.terms.items()})
+
+    def fixed_part(self):
+        return Character({m: c for m, c in self.terms.items() if m.is_trivial()})
+
+    def movable_part(self):
+        return Character({m: c for m, c in self.terms.items() if not m.is_trivial()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return isinstance(other, Character) and self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "Character(0)"
+        items = sorted(self.terms.items(), key=lambda kv: (kv[0].texp, kv[0].wexp))
+        return "Character(" + " + ".join(f"{c}*{m}" for m, c in items) + ")"
+
+
+def char_dual(V):
+    return V.dual()
+
+
+def fixed_part(V):
+    return V.fixed_part()
+
+
+def movable_part(V):
+    return V.movable_part()
+
+
+class EvalPoint:
+    """Exact rational values for the square roots of all base variables.
+
+    ``sqrt_t = (a1, a2, a3, a4)`` with ``a1*a2*a3*a4 == 1`` (the square-root
+    form of the Calabi-Yau relation) and one positive rational per w-slot.
+    """
+
+    def __init__(self, sqrt_t3, sqrt_w=()):
+        a1, a2, a3 = (Fraction(a) for a in sqrt_t3)
+        if a1 * a2 * a3 == 0:
+            raise ValueError("square-root bases must be nonzero")
+        a4 = 1 / (a1 * a2 * a3)
+        self.sqrt_t = (a1, a2, a3, a4)
+        self.sqrt_w = tuple(Fraction(b) for b in sqrt_w)
+        if any(b == 0 for b in self.sqrt_w):
+            raise ValueError("square-root bases must be nonzero")
+
+    def powered(self, n):
+        """The point with every base raised to the n-th power (plethysm)."""
+        p = EvalPoint.__new__(EvalPoint)
+        p.sqrt_t = tuple(a ** n for a in self.sqrt_t)
+        p.sqrt_w = tuple(b ** n for b in self.sqrt_w)
+        return p
+
+    def with_sqrt_w(self, sqrt_w):
+        p = EvalPoint.__new__(EvalPoint)
+        p.sqrt_t = self.sqrt_t
+        p.sqrt_w = tuple(Fraction(b) for b in sqrt_w)
+        return p
+
+    def __repr__(self):
+        return f"EvalPoint(sqrt_t={self.sqrt_t}, sqrt_w={self.sqrt_w})"
+
+
+class CohPoint:
+    """Exact rational Chern roots ``s1..s4`` with ``s1+s2+s3+s4 == 0``."""
+
+    def __init__(self, s3, v=()):
+        s1, s2, s3_ = (Fraction(s) for s in s3)
+        self.s = (s1, s2, s3_, -(s1 + s2 + s3_))
+        self.v = tuple(Fraction(x) for x in v)
+
+    def with_v(self, v):
+        p = CohPoint.__new__(CohPoint)
+        p.s = self.s
+        p.v = tuple(Fraction(x) for x in v)
+        return p
+
+    def __repr__(self):
+        return f"CohPoint(s={self.s}, v={self.v})"
+
+
+def eval_monomial(m, p):
+    """Value of ``m`` at ``p``; half-integer powers evaluate exactly on the
+    square-root bases."""
+    val = Fraction(1)
+    for a, e in zip(p.sqrt_t, m.texp):
+        if e:
+            val *= a ** e
+    for b, e in zip(p.sqrt_w, m.wexp):
+        if e:
+            val *= b ** e
+    return val
+
+
+def _sqrt_eval(m, p):
+    # value of m**(1/2); needs all doubled exponents even (integer weights)
+    if any(e % 2 for e in m.texp) or any(e % 2 for e in m.wexp):
+        raise FractionalPowerError(f"no exact square root for {m!r}")
+    val = Fraction(1)
+    for a, e in zip(p.sqrt_t, m.texp):
+        if e:
+            val *= a ** (e // 2)
+    for b, e in zip(p.sqrt_w, m.wexp):
+        if e:
+            val *= b ** (e // 2)
+    return val
+
+
+def bracket_monomial(m, p):
+    """``[m] = m^(1/2) - m^(-1/2)`` evaluated at ``p``."""
+    m = m.canonical()
+    if m.is_trivial():
+        raise TrivialWeightError("bracket of the trivial weight is undefined")
+    s = _sqrt_eval(m, p)
+    return s - 1 / s
+
+
+def bracket_eval(V, p):
+    """Multiplicative extension of the bracket to a movable character.
+
+    Raises :class:`TrivialWeightError` if ``V`` has a nonzero fixed part and
+    :class:`PoleAtPointError` if a negative-multiplicity factor vanishes.
+    """
+    if not V.fixed_part().is_zero():
+        raise TrivialWeightError("character has a nonzero fixed part")
+    val = Fraction(1)
+    for m, mult in V.terms.items():
+        b = bracket_monomial(m, p)
+        if b == 0:
+            if mult < 0:
+                raise PoleAtPointError(f"bracket pole at {m!r}")
+            return Fraction(0)
+        val *= b ** mult
+    return val
+
+
+def euler_monomial(m, p):
+    """The equivariant first Chern class ``mu . s`` of an integer weight."""
+    m = m.canonical()
+    if any(e % 2 for e in m.texp) or any(e % 2 for e in m.wexp):
+        raise FractionalPowerError(f"Euler class needs integer exponents: {m!r}")
+    val = Fraction(0)
+    for s, e in zip(p.s, m.texp):
+        val += s * (e // 2)
+    for v, e in zip(p.v, m.wexp):
+        val += v * (e // 2)
+    return val
+
+
+def euler_eval(V, p):
+    """Multiplicative extension of the Euler class to a movable character."""
+    if not V.fixed_part().is_zero():
+        raise TrivialWeightError("character has a nonzero fixed part")
+    val = Fraction(1)
+    for m, mult in V.terms.items():
+        e = euler_monomial(m, p)
+        if e == 0:
+            if mult < 0:
+                raise PoleAtPointError(f"Euler-class pole at {m!r}")
+            return Fraction(0)
+        val *= e ** mult
+    return val
+
+
+def theta_monomial(m, p, order):
+    """The theta measure of one weight, as a series in the elliptic parameter.
+
+    Returns ``[x] * prod_{n>=1} (1 - x p^n)(1 - 1/x p^n)`` truncated at
+    ``order``; the ``p^(1/12)`` prefactor is tracked by the caller.  The
+    constant term is ``bracket_monomial(m, p)``.
+    """
+    m = m.canonical()
+    if m.is_trivial():
+        raise TrivialWeightError("theta measure of the trivial weight is undefined")
+    y = eval_monomial(m, p)
+    f = QSeries.constant(bracket_monomial(m, p), order)
+    for n in range(1, order + 1):
+        f = f * QSeries.binomial(-y, n, order)
+        f = f * QSeries.binomial(-1 / y, n, order)
+    return f
+
+
+def theta_eval(V, p, order):
+    """Elliptic measure of a movable character, truncated at ``order`` in p.
+
+    The per-weight twelfth powers of p are accumulated exactly; they must
+    resolve to an integer power of p (automatic for rank-0 characters).
+    """
+    if not V.fixed_part().is_zero():
+        raise TrivialWeightError("character has a nonzero fixed part")
+    twelfths = V.rank()
+    if twelfths % 12:
+        raise FractionalPowerError(
+            f"aggregate elliptic prefactor p^({twelfths}/12) is not an integer power"
+        )
+    val = QSeries.one(order)
+    for m, mult in V.terms.items():
+        f = theta_monomial(m, p, order)
+        if mult >= 0:
+            val = val * f ** mult
+        else:
+            if f.coeffs[0] == 0:
+                raise PoleAtPointError(f"theta pole at {m!r}")
+            val = val * f.invert() ** (-mult)
+    shift = twelfths // 12
+    if shift:
+        val = val.shift(shift)
+    return val

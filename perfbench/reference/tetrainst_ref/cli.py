@@ -1,0 +1,239 @@
+"""Command-line driver: compute series, run verification suites, manage caches.
+
+All report output is deterministic UTF-8 JSON with a top-level "schema" key;
+every rational number is serialized as a "num/den" string, never as a float.
+
+Exit codes: 0 success, 1 a verification check failed, 2 invalid configuration,
+3 the point sampler was exhausted, 4 an internal invariant was violated,
+5 the cache directory is unwritable.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+
+import click
+
+from . import __version__
+from .algebra import (
+    CohPoint,
+    EvalPoint,
+    FractionalPowerError,
+    NotMovableError,
+    SamplerExhaustedError,
+    TrivialWeightError,
+)
+from .formulas import closed_Z_K, closed_Z_coh, factorized_Z
+from .localization import (
+    Z_loc_K,
+    Z_loc_coh,
+    Z_loc_ell,
+    check_euler_characteristics,
+    check_framing_independence,
+    run_kappa_check,
+    run_sign_sweep,
+    sample_until,
+    verify_main,
+)
+from .partitions import write_cache
+
+SCHEMA = "tetrainst-report/1"
+
+EXIT_CHECK_FAILED = 1
+EXIT_INVALID = 2
+EXIT_SAMPLER = 3
+EXIT_INTERNAL = 4
+EXIT_CACHE = 5
+
+
+def _parse_rvec(text):
+    try:
+        parts = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise click.UsageError(f"rvec must be comma-separated integers, got {text!r}")
+    if len(parts) != 4 or any(x < 0 for x in parts):
+        raise click.UsageError("rvec needs exactly 4 nonnegative integers")
+    return parts
+
+
+def _point_doc(point):
+    if isinstance(point, EvalPoint):
+        return {
+            "sqrt_t": [str(a) for a in point.sqrt_t],
+            "sqrt_w": [str(b) for b in point.sqrt_w],
+        }
+    if isinstance(point, CohPoint):
+        return {"s": [str(s) for s in point.s], "v": [str(x) for x in point.v]}
+    raise TypeError(f"unknown point type {type(point)!r}")
+
+
+def _series_doc(f):
+    return [str(c) for c in f.coeffs]
+
+
+def _emit(doc, out):
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
+
+
+def _report_doc(report):
+    return {
+        "name": report.name,
+        "rvec": list(report.rvec) if report.rvec else None,
+        "order": report.order,
+        "seed": report.seed,
+        "points_tried": report.points_tried,
+        "points_used": report.points_used,
+        "passed": report.passed,
+        "details": report.details,
+    }
+
+
+@click.group()
+@click.version_option(__version__)
+def main():
+    """Exact computation and verification of tetrahedron instanton series."""
+
+
+@main.command()
+@click.option("--rvec", required=True, help="rank vector, e.g. 0,0,0,1")
+@click.option("--order", default=2, type=click.IntRange(0), help="q-order N")
+@click.option("--mode", default="k", type=click.Choice(["k", "coh", "elliptic"]))
+@click.option("--p-order", default=2, type=click.IntRange(0), help="elliptic p-order")
+@click.option("--seed", default=0, type=int)
+@click.option("--out", default=None, type=click.Path(dir_okay=False))
+def compute(rvec, order, mode, p_order, seed, out):
+    """Compute the partition function series at a sampled point."""
+    rv = _parse_rvec(rvec)
+    try:
+        if mode == "k":
+
+            def run(point):
+                return {
+                    "localization": _series_doc(Z_loc_K(rv, order, point)),
+                    "closed": _series_doc(closed_Z_K(rv, order, point)),
+                    "factorized": _series_doc(factorized_Z(rv, order, point)),
+                }
+
+        elif mode == "coh":
+
+            def run(point):
+                return {
+                    "localization": _series_doc(Z_loc_coh(rv, order, point)),
+                    "closed": _series_doc(closed_Z_coh(rv, order, point)),
+                }
+
+        else:
+
+            def run(point):
+                ell = Z_loc_ell(rv, order, p_order, point)
+                return {
+                    "localization_rows": [_series_doc(r) for r in ell.rows],
+                    "p0_slice": _series_doc(ell.p_slice(0)),
+                    "closed": _series_doc(closed_Z_K(rv, order, point)),
+                }
+
+        series, point, tries = sample_until(run, seed, rv, "coh" if mode == "coh" else "k")
+    except SamplerExhaustedError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_SAMPLER)
+    except (NotMovableError, FractionalPowerError, TrivialWeightError) as exc:
+        click.echo(f"internal invariant violated: {exc}", err=True)
+        sys.exit(EXIT_INTERNAL)
+    doc = {
+        "schema": SCHEMA,
+        "version": __version__,
+        "meta": {
+            "command": "compute",
+            "rvec": list(rv),
+            "order": order,
+            "mode": mode,
+            "p_order": p_order if mode == "elliptic" else None,
+            "seed": seed,
+            "point": _point_doc(point),
+            "points_tried": tries,
+        },
+        "series": series,
+    }
+    _emit(doc, out)
+
+
+@main.command()
+@click.option("--suite", default="all", type=click.Choice(["main", "signs", "framing", "euler", "kappa", "all"]))
+@click.option("--rvec", default="0,0,0,1", help="rank vector, e.g. 1,1,0,0")
+@click.option("--order", default=2, type=click.IntRange(0))
+@click.option("--mode", default="k", type=click.Choice(["k", "coh"]))
+@click.option("--seed", default=0, type=int)
+@click.option("--points", default=3, type=click.IntRange(1))
+@click.option("--framings", default=3, type=click.IntRange(2))
+@click.option("--r", "rank", default=None, type=click.IntRange(0), help="total rank for the euler suite")
+@click.option("--out", default=None, type=click.Path(dir_okay=False))
+def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
+    """Run verification suites; exit 0 iff every check passes."""
+    rv = _parse_rvec(rvec)
+    reports = []
+    try:
+        if suite in ("main", "all"):
+            reports.append(verify_main(rv, order, seed, points, mode))
+        if suite in ("signs", "all"):
+            reports.append(run_sign_sweep(rv, min(order, 3), seed, points))
+        if suite in ("framing", "all"):
+            reports.append(check_framing_independence(rv, order, seed, framings))
+        if suite in ("euler", "all"):
+            r = rank if rank is not None else sum(rv)
+            reports.append(check_euler_characteristics(r, order))
+        if suite in ("kappa", "all"):
+            reports.append(run_kappa_check([2, 3, 4], max(order, 6), seed, points))
+    except SamplerExhaustedError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_SAMPLER)
+    except (NotMovableError, FractionalPowerError, TrivialWeightError) as exc:
+        click.echo(f"internal invariant violated: {exc}", err=True)
+        sys.exit(EXIT_INTERNAL)
+    passed = all(r.passed for r in reports)
+    doc = {
+        "schema": SCHEMA,
+        "version": __version__,
+        "meta": {
+            "command": "verify",
+            "suite": suite,
+            "rvec": list(rv),
+            "order": order,
+            "mode": mode,
+            "seed": seed,
+            "points": points,
+            "framings": framings,
+        },
+        "passed": passed,
+        "checks": [_report_doc(r) for r in reports],
+    }
+    _emit(doc, out)
+    if not passed:
+        sys.exit(EXIT_CHECK_FAILED)
+
+
+@main.command()
+@click.option("--order", default=4, type=click.IntRange(0), help="largest size to cache")
+@click.option("--cache", default=None, help="cache directory (env TETRA_CACHE overrides)")
+def enumerate(order, cache):
+    """Write plane-partition cache files for sizes 0..order."""
+    directory = os.environ.get("TETRA_CACHE") or cache
+    if not directory:
+        raise click.UsageError("no cache directory: pass --cache or set TETRA_CACHE")
+    try:
+        for n in range(order + 1):
+            count = write_cache(directory, n)
+            click.echo(f"n={n}: {count} plane partitions")
+    except OSError as exc:
+        click.echo(f"cache directory unwritable: {exc}", err=True)
+        sys.exit(EXIT_CACHE)
+
+
+if __name__ == "__main__":
+    main()

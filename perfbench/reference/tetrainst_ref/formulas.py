@@ -1,0 +1,183 @@
+"""Closed-form partition functions evaluated at an exact specialization point.
+
+All generating functions here come from plethystic-exponential expressions.
+The rational factor in front is the bracket of the fixed virtual character
+
+    A = [t1 t2][t1 t3][t2 t3] / ([t1][t2][t3][t4])
+
+and the inner geometric factor is expanded with the q -> 0 convention
+
+    1 / ([k^(1/2) q][k^(1/2) q^(-1)]) = -sum_{m>=1} ([k^m]/[k]) q^m,
+
+so the exponential body collapses to ``A * sum_m [kappa^m] q^m`` with the
+[kappa] factors cancelled (which also covers kappa = 1 smoothly).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .algebra import (
+    Character,
+    EvalPoint,
+    Monomial,
+    bracket_eval,
+    bracket_monomial,
+    eval_monomial,
+    t_monomial,
+)
+from .series import QSeries, macmahon_power, plethystic_exp
+
+
+def sgn(x):
+    return (x > 0) - (x < 0)
+
+
+class RankVector:
+    """A rank vector r = (r1..r4) and its distinguished weight monomials."""
+
+    def __init__(self, rvec):
+        self.rvec = tuple(int(x) for x in rvec)
+        if len(self.rvec) != 4 or any(x < 0 for x in self.rvec):
+            raise ValueError(f"rank vector must be 4 nonnegative integers, got {rvec}")
+        self.r = sum(self.rvec)
+
+    def kappa_rbar(self):
+        """``kappa_rbar = prod_i t_i^(-r_i)`` as a canonical monomial."""
+        return Monomial(tuple(-2 * ri for ri in self.rvec)).canonical()
+
+    def kappa(self, i):
+        return t_monomial(i, -1)
+
+    def __repr__(self):
+        return f"RankVector({self.rvec})"
+
+
+def _prefactor_character():
+    # [t1t2][t1t3][t2t3] / ([t1][t2][t3][t4]) as a virtual character
+    terms = {}
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        m = (t_monomial(i) * t_monomial(j)).canonical()
+        terms[m] = terms.get(m, 0) + 1
+    for i in range(1, 5):
+        m = t_monomial(i)
+        terms[m] = terms.get(m, 0) - 1
+    return Character(terms)
+
+
+_A_CHAR = _prefactor_character()
+
+
+def closed_Z_K(rvec, order, p):
+    """The explicit plethystic formula for ``Z_rvec(q)`` at point ``p``.
+
+    When ``kappa_rbar`` is symbolically trivial (all r_i equal) the series
+    is the constant 1: this is the vanishing statement.
+    """
+    rv = RankVector(rvec)
+    kap = rv.kappa_rbar()
+    if kap.is_trivial():
+        return QSeries.one(order)
+
+    def body(n):
+        pn = p.powered(n)
+        a_val = bracket_eval(_A_CHAR, pn)
+        coeffs = [Fraction(0)]
+        for m in range(1, order + 1):
+            coeffs.append(a_val * bracket_monomial(kap ** m, pn))
+        return QSeries(coeffs)
+
+    g = plethystic_exp(body, order)
+    return g.q_scale(sign=(-1) ** rv.r)
+
+
+def rank1_Z(i, order, p):
+    """The rank-1 series for leg ``i`` (the unit rank vector in slot i)."""
+    rvec = tuple(1 if k == i else 0 for k in range(1, 5))
+    return closed_Z_K(rvec, order, p)
+
+
+def factorization_scale(rvec, i, l):
+    """The kappa-monomial rescaling the rank-1 factor in slot ``(i, l)``.
+
+    The doubled-exponent storage keeps the genuine half powers exact:
+    the monomial is ``kappa_i^((-r_i-1)/2 + l) * prod_j kappa_j^(r_j*sgn(i-j)/2)``.
+    """
+    rv = RankVector(rvec)
+    texp = [0, 0, 0, 0]
+    texp[i - 1] += -(-(rv.rvec[i - 1]) - 1 + 2 * l)  # kappa_i = t_i^(-1), doubled
+    for j in range(1, 5):
+        texp[j - 1] += rv.rvec[j - 1] * sgn(i - j) * (-1)
+    return Monomial(tuple(texp)).canonical()
+
+
+def factorized_Z(rvec, order, p):
+    """Product of q-rescaled rank-1 series, one factor per framing slot."""
+    rv = RankVector(rvec)
+    sign = (-1) ** (rv.r + 1)
+    out = QSeries.one(order)
+    for i in range(1, 5):
+        for l in range(1, rv.rvec[i - 1] + 1):
+            c = eval_monomial(factorization_scale(rvec, i, l), p)
+            out = out * rank1_Z(i, order, p).q_scale(c, sign)
+    return out
+
+
+def closed_Z_coh(rvec, order, p):
+    """Cohomological closed form: a rational power of the MacMahon series."""
+    rv = RankVector(rvec)
+    s1, s2, s3, s4 = p.s
+    if s1 * s2 * s3 * s4 == 0:
+        raise ZeroDivisionError("Chern roots must have nonzero product")
+    rs = sum(ri * si for ri, si in zip(rv.rvec, p.s))
+    alpha = -(s1 + s2) * (s1 + s3) * (s2 + s3) * rs / (s1 * s2 * s3 * s4)
+    return macmahon_power(alpha, order).q_scale(sign=(-1) ** rv.r)
+
+
+def rank1_relation_residual(p):
+    """The linear relation among the four rank-1 first coefficients.
+
+    Returns ``sum_i (prod_{j<i} t_j^(-1)) * t_i^(-1/2) * Z1^(i)`` where
+    ``Z1^(i)`` is the q^1 coefficient of the leg-i rank-1 series; the value
+    is identically zero.
+    """
+    total = Fraction(0)
+    for i in range(1, 5):
+        texp = [0, 0, 0, 0]
+        for j in range(1, i):
+            texp[j - 1] -= 2
+        texp[i - 1] -= 1
+        coeff = eval_monomial(Monomial(tuple(texp)).canonical(), p)
+        total += coeff * rank1_Z(i, 1, p).coefficient(1)
+    return total
+
+
+def check_kappa_identity(sqrt_xs, order):
+    """Standalone weight identity behind the factorization theorem.
+
+    The weights ``x_i`` are given through exact square roots ``b_i`` (so
+    ``x_i = b_i**2``).  Both sides are expanded as q-series with the c_m rule:
+
+        sum_i [x_i] / ([x_i^(1/2) q_i][x_i^(1/2) q_i^(-1)])
+            = [X] / ([X^(1/2) q][X^(1/2) q^(-1)]),
+
+    where ``q_i = q * prod_j x_j^(sgn(i-j)/2)`` and ``X = prod_i x_i``.
+    Returns True when the two expansions agree to the given order.
+    """
+    bs = [Fraction(b) for b in sqrt_xs]
+    if any(b <= 0 for b in bs):
+        raise ValueError("square-root weights must be positive")
+    lhs = [Fraction(0)] * (order + 1)
+    for i, b in enumerate(bs):
+        c = Fraction(1)
+        for j, bj in enumerate(bs):
+            c *= bj ** sgn(i - j)
+        for m in range(1, order + 1):
+            lhs[m] += -(b ** m - b ** (-m)) * c ** m
+    B = Fraction(1)
+    for b in bs:
+        B *= b
+    rhs = [Fraction(0)] * (order + 1)
+    for m in range(1, order + 1):
+        rhs[m] = -(B ** m - B ** (-m))
+    return QSeries(lhs) == QSeries(rhs)

@@ -1,0 +1,230 @@
+"""Truncated formal power series with exact rational coefficients.
+
+A :class:`QSeries` of order ``N`` stores coefficients ``c_0..c_N``; every
+operation is exact and truncation-consistent (computing at a higher order and
+truncating gives the same result).  :class:`QPSeries` is the bigraded variant
+used for the elliptic partition function.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+class BadConstantTermError(ValueError):
+    """log/invert need constant term 1 (or nonzero); exp needs constant 0."""
+
+
+class QSeries:
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        if not self.coeffs:
+            raise ValueError("a series needs at least its constant term")
+
+    @property
+    def order(self):
+        return len(self.coeffs) - 1
+
+    @classmethod
+    def zero(cls, order):
+        return cls((0,) * (order + 1))
+
+    @classmethod
+    def one(cls, order):
+        return cls.constant(1, order)
+
+    @classmethod
+    def constant(cls, c, order):
+        return cls((c,) + (0,) * order)
+
+    @classmethod
+    def binomial(cls, c, n, order):
+        """The polynomial ``1 + c*q^n`` truncated at ``order``."""
+        coeffs = [Fraction(0)] * (order + 1)
+        coeffs[0] = Fraction(1)
+        if n <= order:
+            coeffs[n] = Fraction(c)
+        return cls(coeffs)
+
+    def coefficient(self, n):
+        return self.coeffs[n]
+
+    def truncate(self, order):
+        if order >= self.order:
+            return QSeries(self.coeffs + (0,) * (order - self.order))
+        return QSeries(self.coeffs[: order + 1])
+
+    def __eq__(self, other):
+        return isinstance(other, QSeries) and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        n = min(self.order, other.order)
+        return QSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
+
+    def __sub__(self, other):
+        n = min(self.order, other.order)
+        return QSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
+
+    def __neg__(self):
+        return QSeries([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, QSeries):
+            n = min(self.order, other.order)
+            out = [Fraction(0)] * (n + 1)
+            for i, a in enumerate(self.coeffs[: n + 1]):
+                if a == 0:
+                    continue
+                for j in range(n + 1 - i):
+                    b = other.coeffs[j]
+                    if b:
+                        out[i + j] += a * b
+            return QSeries(out)
+        return QSeries([c * other for c in self.coeffs])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return QSeries([c / scalar for c in self.coeffs])
+
+    def invert(self):
+        """Multiplicative inverse; the constant term must be nonzero."""
+        c0 = self.coeffs[0]
+        if c0 == 0:
+            raise BadConstantTermError("cannot invert a series with zero constant term")
+        out = [Fraction(0)] * (self.order + 1)
+        out[0] = 1 / c0
+        for n in range(1, self.order + 1):
+            s = sum(self.coeffs[k] * out[n - k] for k in range(1, n + 1))
+            out[n] = -s / c0
+        return QSeries(out)
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.invert() ** (-n)
+        out = QSeries.one(self.order)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def exp(self):
+        """exp of a series with zero constant term."""
+        if self.coeffs[0] != 0:
+            raise BadConstantTermError("exp needs zero constant term")
+        out = [Fraction(0)] * (self.order + 1)
+        out[0] = Fraction(1)
+        for n in range(1, self.order + 1):
+            # n*e_n = sum_{k=1..n} k f_k e_{n-k}, from (exp f)' = f' exp f
+            s = sum((k * self.coeffs[k] * out[n - k] for k in range(1, n + 1)), Fraction(0))
+            out[n] = s / n
+        return QSeries(out)
+
+    def log(self):
+        """log of a series with constant term 1."""
+        if self.coeffs[0] != 1:
+            raise BadConstantTermError("log needs constant term 1")
+        out = [Fraction(0)] * (self.order + 1)
+        for n in range(1, self.order + 1):
+            s = sum((k * out[k] * self.coeffs[n - k] for k in range(1, n)), Fraction(0))
+            out[n] = self.coeffs[n] - s / n
+        return QSeries(out)
+
+    def stretch(self, n):
+        """Substitute ``q -> q^n``, truncated at the original order."""
+        out = [Fraction(0)] * (self.order + 1)
+        for k, c in enumerate(self.coeffs):
+            if k * n > self.order:
+                break
+            out[k * n] = c
+        return QSeries(out)
+
+    def shift(self, k):
+        """Multiply by ``q^k``; for negative ``k`` the low coefficients must vanish."""
+        if k >= 0:
+            return QSeries((0,) * k + self.coeffs[: self.order + 1 - k])
+        if any(self.coeffs[: -k]):
+            raise ValueError("negative shift of a series with nonzero low-order terms")
+        return QSeries(self.coeffs[-k:] + (0,) * (-k))
+
+    def q_scale(self, c=1, sign=1):
+        """Substitute ``q -> (sign*c)*q``: coefficient ``c_n -> c_n*(sign*c)^n``."""
+        factor = Fraction(sign) * Fraction(c)
+        return QSeries([coef * factor ** n for n, coef in enumerate(self.coeffs)])
+
+    def __repr__(self):
+        return "QSeries[" + ", ".join(str(c) for c in self.coeffs) + "]"
+
+
+def substitute_q_scale(f, c, sign=1):
+    return f.q_scale(c, sign)
+
+
+def plethystic_exp(coeff_fn, order):
+    """Plethystic exponential ``Exp(f) = exp(sum_n f(params^n; q^n)/n)``.
+
+    ``coeff_fn(n)`` must return ``f`` with all parameters already raised to
+    the n-th power, as a :class:`QSeries` in the *original* variable q with
+    zero constant term; the ``q -> q^n`` substitution happens here.
+    """
+    acc = QSeries.zero(order)
+    for n in range(1, order + 1):
+        f = coeff_fn(n).truncate(order)
+        if f.coeffs[0] != 0:
+            raise BadConstantTermError("plethystic argument needs zero constant term")
+        acc = acc + f.stretch(n) / n
+    return acc.exp()
+
+
+def macmahon(order):
+    """MacMahon series ``prod_{n>=1} (1-q^n)^(-n)`` truncated at ``order``."""
+    out = QSeries.one(order)
+    for n in range(1, order + 1):
+        out = out * QSeries.binomial(-1, n, order).invert() ** n
+    return out
+
+
+def macmahon_power(alpha, order):
+    """``M(q)**alpha`` for an arbitrary rational exponent ``alpha``."""
+    return (Fraction(alpha) * macmahon(order).log()).exp()
+
+
+class QPSeries:
+    """A series in q whose coefficients are truncated series in p."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        rows = tuple(rows)
+        if not rows:
+            raise ValueError("need at least the q^0 row")
+        p_order = rows[0].order
+        if any(r.order != p_order for r in rows):
+            raise ValueError("all rows must share the same p-order")
+        self.rows = rows
+
+    @property
+    def q_order(self):
+        return len(self.rows) - 1
+
+    @property
+    def p_order(self):
+        return self.rows[0].order
+
+    def coefficient(self, q_pow, p_pow):
+        return self.rows[q_pow].coeffs[p_pow]
+
+    def p_slice(self, p_pow):
+        """The q-series of coefficients of ``p**p_pow``."""
+        return QSeries([r.coeffs[p_pow] for r in self.rows])
+
+    def __eq__(self, other):
+        return isinstance(other, QPSeries) and self.rows == other.rows
+
+    def __repr__(self):
+        return "QPSeries[" + "; ".join(repr(r) for r in self.rows) + "]"

@@ -1,0 +1,217 @@
+"""Equivariant characters attached to a torus-fixed point.
+
+Given a configuration of plane partitions, this module builds the quotient
+character Q, the framing characters K_i, the virtual tangent character and
+the vertex term (a chosen square root of the virtual tangent), together with
+its block decomposition and the rank-agnostic tilde variant used by the sign
+rule.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .algebra import (
+    Character,
+    Monomial,
+    NotMovableError,
+    VariableRegistry,
+    t_monomial,
+    trivial_monomial,
+    w_monomial,
+)
+
+
+def other_indices(i):
+    """The three indices in {1,2,3,4} different from ``i``, increasing."""
+    return tuple(k for k in range(1, 5) if k != i)
+
+
+def char_P(index_set, nslots=0):
+    """``P_I = prod_{l in I} (1 - t_l)`` expanded as a character."""
+    out = Character.one(nslots)
+    for l in sorted(index_set):
+        factor = Character({trivial_monomial(nslots): 1, t_monomial(l, nslots=nslots): -1})
+        out = out * factor
+    return out
+
+
+def kappa_monomial(i, nslots=0):
+    """Calabi-Yau weight ``kappa_i = t_i^(-1)`` of the i-th hyperplane."""
+    return t_monomial(i, -1, nslots=nslots)
+
+
+@dataclass
+class FixedPointData:
+    """All characters attached to one fixed point."""
+
+    config: object
+    registry: VariableRegistry
+    Z: dict  # (i, l) -> Character in the t-variables only
+    Q_leg: tuple  # Q_i per leg, length 4
+    Q: Character
+    K_leg: tuple  # K_i per leg
+    K: Character
+
+
+def partition_character(pp, i, nslots=0):
+    """``Z = sum_{(a,b,c) in pi} t_{i1}^a t_{i2}^b t_{i3}^c`` for leg ``i``."""
+    i1, i2, i3 = other_indices(i)
+    out = Character.zero()
+    for (a, b, c) in pp:
+        texp = [0, 0, 0, 0]
+        texp[i1 - 1] = 2 * a
+        texp[i2 - 1] = 2 * b
+        texp[i3 - 1] = 2 * c
+        out = out + Character.of(Monomial(tuple(texp), (0,) * nslots))
+    return out
+
+
+def build_fixed_point(config):
+    reg = VariableRegistry(config.rvec)
+    ns = reg.rank
+    Z = {}
+    Q_leg = []
+    K_leg = []
+    for i in range(1, 5):
+        Qi = Character.zero()
+        Ki = Character.zero()
+        for l in range(1, config.rvec[i - 1] + 1):
+            pp = config.legs[i - 1][l - 1]
+            Zil = partition_character(pp, i, ns)
+            Z[(i, l)] = Zil
+            w = Character.of(w_monomial(reg.slot(i, l), nslots=ns))
+            Qi = Qi + w * Zil
+            Ki = Ki + w
+        Q_leg.append(Qi)
+        K_leg.append(Ki)
+    Q = Q_leg[0] + Q_leg[1] + Q_leg[2] + Q_leg[3]
+    K = K_leg[0] + K_leg[1] + K_leg[2] + K_leg[3]
+    return FixedPointData(config, reg, Z, tuple(Q_leg), Q, tuple(K_leg), K)
+
+
+def virtual_tangent(fp):
+    """Virtual tangent character at the fixed point (rank zero)."""
+    ns = fp.registry.rank
+    Q, Qd = fp.Q, fp.Q.dual()
+    T = fp.K.dual() * Q + fp.K * Qd - char_P({1, 2, 3, 4}, ns) * Q * Qd
+    for i in range(1, 5):
+        ti = Character.of(t_monomial(i, nslots=ns))
+        ti_inv = Character.of(t_monomial(i, -1, nslots=ns))
+        T = T - fp.K_leg[i - 1] * ti * Qd
+        T = T - fp.K_leg[i - 1].dual() * ti_inv * Q
+    return T
+
+
+def ambient_tangent(fp):
+    """Tangent character of the smooth ambient moduli space."""
+    ns = fp.registry.rank
+    Q, Qd = fp.Q, fp.Q.dual()
+    c4 = Character.zero()
+    for i in range(1, 5):
+        c4 = c4 + Character.of(t_monomial(i, -1, nslots=ns))
+    c4 = c4 - Character.one(ns)
+    return c4 * Q * Qd + fp.K.dual() * Q
+
+
+def obstruction_fiber(fp):
+    """Fiber character of the orthogonal bundle cutting out the moduli space."""
+    ns = fp.registry.rank
+    Q, Qd = fp.Q, fp.Q.dual()
+    lam2 = Character.zero()
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            m = t_monomial(i, -1, nslots=ns) * t_monomial(j, -1, nslots=ns)
+            lam2 = lam2 + Character.of(m)
+    L = lam2 * Q * Qd
+    for i in range(1, 5):
+        ti = Character.of(t_monomial(i, nslots=ns))
+        ti_inv = Character.of(t_monomial(i, -1, nslots=ns))
+        L = L + fp.K_leg[i - 1] * ti * Qd
+        L = L + fp.K_leg[i - 1].dual() * ti_inv * Q
+    return L
+
+
+def virtual_tangent_via_ambient(fp):
+    """Independent route: ambient tangent minus obstruction plus cotangent."""
+    TA = ambient_tangent(fp)
+    return TA - obstruction_fiber(fp) + TA.dual()
+
+
+def vertex(fp):
+    """The vertex term: a square root of the virtual tangent character.
+
+    ``v + dual(v) == virtual_tangent(fp)`` and ``v`` has empty fixed part;
+    a nonzero fixed part signals an internal bug and raises.
+    """
+    ns = fp.registry.rank
+    Q, Qd = fp.Q, fp.Q.dual()
+    v = fp.K.dual() * Q
+    for j in range(1, 5):
+        tj = Character.of(t_monomial(j, nslots=ns))
+        v = v - fp.K_leg[j - 1] * tj * Qd
+    for j in range(1, 5):
+        Pbar = char_P(other_indices(j), ns).dual()
+        v = v - Pbar * fp.Q_leg[j - 1] * fp.Q_leg[j - 1].dual()
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            Pbar = char_P(other_indices(j), ns).dual()
+            cross = fp.Q_leg[j - 1] * fp.Q_leg[i - 1].dual() + fp.Q_leg[i - 1] * fp.Q_leg[j - 1].dual()
+            v = v - Pbar * cross
+    if not v.fixed_part().is_zero():
+        raise NotMovableError("vertex term has a nonzero fixed part")
+    return v
+
+
+def _half_block(fp, i, l, j, k, pleg=None):
+    # w_il^(-1) w_jk (Z_jk - kappa_j^(-1) Zbar_il - Pbar_{p1p2p3} Z_jk Zbar_il)
+    # where the P-factor is indexed by pleg (default j); for a mixed-leg pair
+    # both orientations share the P-factor of the larger leg.
+    reg = fp.registry
+    ns = reg.rank
+    if pleg is None:
+        pleg = j
+    wfac = Character.of(
+        w_monomial(reg.slot(i, l), -1, ns) * w_monomial(reg.slot(j, k), 1, ns)
+    )
+    Zjk = fp.Z[(j, k)]
+    Zil_d = fp.Z[(i, l)].dual()
+    kappa_inv = Character.of(t_monomial(j, nslots=ns))  # kappa_j^(-1) = t_j
+    Pbar = char_P(other_indices(pleg), ns).dual()
+    return wfac * (Zjk - kappa_inv * Zil_d - Pbar * Zjk * Zil_d)
+
+
+def vertex_block(fp, i, l, j, k):
+    """Block of the vertex term for the slot pair ``(i,l) <= (j,k)``.
+
+    Summing the blocks over all ordered slot pairs reproduces ``vertex(fp)``
+    exactly.  Blocks on the same leg with ``l < k`` bundle both w-orientations.
+    """
+    if (i, l) > (j, k):
+        raise ValueError("slot pair must be lexicographically ordered")
+    if i == j:
+        block = _half_block(fp, i, l, j, k)
+        if l != k:
+            block = block + _half_block(fp, i, k, j, l)
+        return block
+    return _half_block(fp, i, l, j, k, pleg=j) + _half_block(fp, j, k, i, l, pleg=j)
+
+
+def vertex_from_blocks(fp):
+    """Reassemble the vertex term from its blocks (decomposition identity)."""
+    out = Character.zero()
+    slots = list(fp.registry.wslots)
+    for a, (i, l) in enumerate(slots):
+        for (j, k) in slots[a:]:
+            out = out + vertex_block(fp, i, l, j, k)
+    return out
+
+
+def tilde_vertex(fp):
+    """Rank-agnostic square-root variant ``Kbar*Q - Pbar_{123}*Q*Qbar``."""
+    ns = fp.registry.rank
+    Q, Qd = fp.Q, fp.Q.dual()
+    v = fp.K.dual() * Q - char_P({1, 2, 3}, ns).dual() * Q * Qd
+    if not v.fixed_part().is_zero():
+        raise NotMovableError("tilde vertex has a nonzero fixed part")
+    return v
