@@ -138,11 +138,6 @@ def trivial_monomial(nslots=0):
     return Monomial((0, 0, 0, 0), (0,) * nslots)
 
 
-def canonicalize(m):
-    """Unique representative of ``m`` modulo ``t1*t2*t3*t4 == 1``."""
-    return m.canonical()
-
-
 class Character:
     """A finite integer-multiplicity multiset of monomials.
 
@@ -228,18 +223,6 @@ class Character:
             return "Character(0)"
         items = sorted(self.terms.items(), key=lambda kv: (kv[0].texp, kv[0].wexp))
         return "Character(" + " + ".join(f"{c}*{m}" for m, c in items) + ")"
-
-
-def char_dual(V):
-    return V.dual()
-
-
-def fixed_part(V):
-    return V.fixed_part()
-
-
-def movable_part(V):
-    return V.movable_part()
 
 
 class EvalPoint:

@@ -1,43 +1,32 @@
-"""Command-line driver: compute series, run verification suites, manage caches.
+"""Command-line driver: compute series and run verification suites.
 
 All report output is deterministic UTF-8 JSON with a top-level "schema" key;
 every rational number is serialized as a "num/den" string, never as a float.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid configuration,
-3 the point sampler was exhausted, 4 an internal invariant was violated,
-5 the cache directory is unwritable.
+3 the point sampler was exhausted, 4 an internal invariant was violated or
+another unexpected error occurred.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
+import traceback
+from contextlib import contextmanager
 
 import click
 
 from . import __version__
-from .algebra import (
-    CohPoint,
-    EvalPoint,
-    FractionalPowerError,
-    NotMovableError,
-    SamplerExhaustedError,
-    TrivialWeightError,
-)
-from .formulas import closed_Z_K, closed_Z_coh, factorized_Z
+from .algebra import CohPoint, EvalPoint, SamplerExhaustedError
 from .localization import (
-    Z_loc_K,
-    Z_loc_coh,
-    Z_loc_ell,
     check_euler_characteristics,
     check_framing_independence,
     run_kappa_check,
     run_sign_sweep,
-    sample_until,
+    sample_series,
     verify_main,
 )
-from .partitions import write_cache
 
 SCHEMA = "tetrainst-report/1"
 
@@ -45,7 +34,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_SAMPLER = 3
 EXIT_INTERNAL = 4
-EXIT_CACHE = 5
 
 
 def _parse_rvec(text):
@@ -69,8 +57,18 @@ def _point_doc(point):
     raise TypeError(f"unknown point type {type(point)!r}")
 
 
-def _series_doc(f):
-    return [str(c) for c in f.coeffs]
+@contextmanager
+def _exit_codes():
+    """Exit 3 on sampler exhaustion and 4 on any other error, so that a crash
+    never shares the failed-check code 1."""
+    try:
+        yield
+    except SamplerExhaustedError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_SAMPLER)
+    except Exception:
+        click.echo(traceback.format_exc(), err=True, nl=False)
+        sys.exit(EXIT_INTERNAL)
 
 
 def _emit(doc, out):
@@ -111,41 +109,8 @@ def main():
 def compute(rvec, order, mode, p_order, seed, out):
     """Compute the partition function series at a sampled point."""
     rv = _parse_rvec(rvec)
-    try:
-        if mode == "k":
-
-            def run(point):
-                return {
-                    "localization": _series_doc(Z_loc_K(rv, order, point)),
-                    "closed": _series_doc(closed_Z_K(rv, order, point)),
-                    "factorized": _series_doc(factorized_Z(rv, order, point)),
-                }
-
-        elif mode == "coh":
-
-            def run(point):
-                return {
-                    "localization": _series_doc(Z_loc_coh(rv, order, point)),
-                    "closed": _series_doc(closed_Z_coh(rv, order, point)),
-                }
-
-        else:
-
-            def run(point):
-                ell = Z_loc_ell(rv, order, p_order, point)
-                return {
-                    "localization_rows": [_series_doc(r) for r in ell.rows],
-                    "p0_slice": _series_doc(ell.p_slice(0)),
-                    "closed": _series_doc(closed_Z_K(rv, order, point)),
-                }
-
-        series, point, tries = sample_until(run, seed, rv, "coh" if mode == "coh" else "k")
-    except SamplerExhaustedError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SAMPLER)
-    except (NotMovableError, FractionalPowerError, TrivialWeightError) as exc:
-        click.echo(f"internal invariant violated: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
+    with _exit_codes():
+        series, point, tries = sample_series(rv, order, mode, seed, p_order)
     doc = {
         "schema": SCHEMA,
         "version": __version__,
@@ -178,7 +143,7 @@ def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
     """Run verification suites; exit 0 iff every check passes."""
     rv = _parse_rvec(rvec)
     reports = []
-    try:
+    with _exit_codes():
         if suite in ("main", "all"):
             reports.append(verify_main(rv, order, seed, points, mode))
         if suite in ("signs", "all"):
@@ -190,12 +155,6 @@ def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
             reports.append(check_euler_characteristics(r, order))
         if suite in ("kappa", "all"):
             reports.append(run_kappa_check([2, 3, 4], max(order, 6), seed, points))
-    except SamplerExhaustedError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SAMPLER)
-    except (NotMovableError, FractionalPowerError, TrivialWeightError) as exc:
-        click.echo(f"internal invariant violated: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
     passed = all(r.passed for r in reports)
     doc = {
         "schema": SCHEMA,
@@ -216,23 +175,6 @@ def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
     _emit(doc, out)
     if not passed:
         sys.exit(EXIT_CHECK_FAILED)
-
-
-@main.command()
-@click.option("--order", default=4, type=click.IntRange(0), help="largest size to cache")
-@click.option("--cache", default=None, help="cache directory (env TETRA_CACHE overrides)")
-def enumerate(order, cache):
-    """Write plane-partition cache files for sizes 0..order."""
-    directory = os.environ.get("TETRA_CACHE") or cache
-    if not directory:
-        raise click.UsageError("no cache directory: pass --cache or set TETRA_CACHE")
-    try:
-        for n in range(order + 1):
-            count = write_cache(directory, n)
-            click.echo(f"n={n}: {count} plane partitions")
-    except OSError as exc:
-        click.echo(f"cache directory unwritable: {exc}", err=True)
-        sys.exit(EXIT_CACHE)
 
 
 if __name__ == "__main__":

@@ -46,9 +46,6 @@ class RankVector:
         """``kappa_rbar = prod_i t_i^(-r_i)`` as a canonical monomial."""
         return Monomial(tuple(-2 * ri for ri in self.rvec)).canonical()
 
-    def kappa(self, i):
-        return t_monomial(i, -1)
-
     def __repr__(self):
         return f"RankVector({self.rvec})"
 

@@ -131,40 +131,79 @@ def sample_until(fn, seed, rvec, mode="k", max_tries=SAMPLER_MAX_TRIES):
 # localization sums
 
 
-def Z_loc_K(rvec, order, p):
-    """K-theoretic localization series: sum of brackets of minus the vertex."""
+def _localization_sum(rvec, order, measure, zero):
+    """Coefficients up to ``order``: ``measure`` of minus the vertex, summed
+    over the configurations of each size, starting from ``zero``."""
     coeffs = []
     for n in range(order + 1):
-        total = Fraction(0)
+        total = zero
         for config in enumerate_configurations(rvec, n):
-            fp = build_fixed_point(config)
-            total += bracket_eval(-vertex(fp), p)
+            total = total + measure(-vertex(build_fixed_point(config)))
         coeffs.append(total)
-    return QSeries(coeffs)
+    return coeffs
+
+
+def Z_loc_K(rvec, order, p):
+    """K-theoretic localization series: sum of brackets of minus the vertex."""
+    return QSeries(_localization_sum(rvec, order, lambda V: bracket_eval(V, p), Fraction(0)))
 
 
 def Z_loc_coh(rvec, order, p):
     """Cohomological localization series (Euler-class measure)."""
-    coeffs = []
-    for n in range(order + 1):
-        total = Fraction(0)
-        for config in enumerate_configurations(rvec, n):
-            fp = build_fixed_point(config)
-            total += euler_eval(-vertex(fp), p)
-        coeffs.append(total)
-    return QSeries(coeffs)
+    return QSeries(_localization_sum(rvec, order, lambda V: euler_eval(V, p), Fraction(0)))
 
 
 def Z_loc_ell(rvec, q_order, p_order, p):
     """Elliptic localization series, bigraded in q and the elliptic parameter."""
-    rows = []
-    for n in range(q_order + 1):
-        row = QSeries.zero(p_order)
-        for config in enumerate_configurations(rvec, n):
-            fp = build_fixed_point(config)
-            row = row + theta_eval(-vertex(fp), p, p_order)
-        rows.append(row)
-    return QPSeries(rows)
+    return QPSeries(
+        _localization_sum(rvec, q_order, lambda V: theta_eval(V, p, p_order), QSeries.zero(p_order))
+    )
+
+
+# ---------------------------------------------------------------------------
+# the reported series per mode
+
+
+def _series_k(rvec, order, p_order, point):
+    return {
+        "localization": _series_strings(Z_loc_K(rvec, order, point)),
+        "closed": _series_strings(closed_Z_K(rvec, order, point)),
+        "factorized": _series_strings(factorized_Z(rvec, order, point)),
+    }
+
+
+def _series_coh(rvec, order, p_order, point):
+    return {
+        "localization": _series_strings(Z_loc_coh(rvec, order, point)),
+        "closed": _series_strings(closed_Z_coh(rvec, order, point)),
+    }
+
+
+def _series_elliptic(rvec, order, p_order, point):
+    ell = Z_loc_ell(rvec, order, p_order, point)
+    return {
+        "localization_rows": [_series_strings(r) for r in ell.rows],
+        "p0_slice": _series_strings(ell.p_slice(0)),
+        "closed": _series_strings(closed_Z_K(rvec, order, point)),
+    }
+
+
+# mode -> (kind of point to sample, the report's series at a point)
+MODES = {
+    "k": ("k", _series_k),
+    "coh": ("coh", _series_coh),
+    "elliptic": ("k", _series_elliptic),
+}
+
+
+def sample_series(rvec, order, mode, seed, p_order=None):
+    """The report's series for ``mode`` at the first pole-free point from ``seed``.
+
+    Returns ``(series, point, tries)`` as :func:`sample_until` does; ``series``
+    maps each route's name to its coefficient strings.
+    """
+    kind, series_at = MODES[mode]
+    return sample_until(lambda point: series_at(rvec, order, p_order, point), seed, rvec, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -260,41 +299,14 @@ def run_sign_sweep(rvec, max_size, seed, num_points=3):
 
 def verify_main(rvec, order, seed, num_points=5, mode="k"):
     """Localization vs closed formulas at sampled points, exact equality."""
+    if mode not in ("k", "coh"):
+        raise ValueError(f"verify_main supports modes k and coh, not {mode!r}")
     report = CheckReport(f"main-{mode}", tuple(rvec), order, seed)
     for idx in range(num_points):
-        if mode == "k":
-
-            def run(point):
-                return (
-                    Z_loc_K(rvec, order, point),
-                    closed_Z_K(rvec, order, point),
-                    factorized_Z(rvec, order, point),
-                )
-
-            (loc, closed, fact), _, tries = sample_until(run, seed + idx, rvec, "k")
-            ok = loc == closed == fact
-            report.record(
-                ok,
-                point_index=idx,
-                localization=_series_strings(loc),
-                closed=_series_strings(closed),
-                factorized=_series_strings(fact),
-            )
-        elif mode == "coh":
-
-            def run(point):
-                return Z_loc_coh(rvec, order, point), closed_Z_coh(rvec, order, point)
-
-            (loc, closed), _, tries = sample_until(run, seed + idx, rvec, "coh")
-            ok = loc == closed
-            report.record(
-                ok,
-                point_index=idx,
-                localization=_series_strings(loc),
-                closed=_series_strings(closed),
-            )
-        else:
-            raise ValueError(f"verify_main supports modes k and coh, not {mode!r}")
+        series, _, tries = sample_series(rvec, order, mode, seed + idx)
+        # Fraction strings are in lowest terms, so equal strings mean equal values
+        ok = all(f == series["closed"] for f in series.values())
+        report.record(ok, point_index=idx, **series)
         report.points_tried += tries
         report.points_used += 1
     return report

@@ -3,16 +3,13 @@
 Plane partitions are finite order ideals in Z^3_{>=0}.  They are enumerated
 through their height-function description: a table ``h[a][b]`` of positive
 column heights, weakly decreasing along rows and columns, with total size n.
-Enumeration per size is memoized and can be persisted to a small JSON cache
-(one file per size, see :func:`write_cache`).
+Enumeration per size is memoized for the life of the process.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -218,32 +215,3 @@ def configuration_sign(config):
     for (i, _), pp in config.slots():
         total += sign_rho(embed_to_solid(pp, i))
     return total % 2
-
-
-def cache_path(directory, n):
-    return Path(directory) / f"plane_partitions_{n:03d}.json"
-
-
-def write_cache(directory, n):
-    """Persist the size-n enumeration; returns the number of partitions."""
-    pps = enumerate_plane_partitions(n)
-    doc = {
-        "n": n,
-        "count": len(pps),
-        "partitions": [[list(box) for box in p.boxes] for p in pps],
-    }
-    path = cache_path(directory, n)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
-    return len(pps)
-
-
-def read_cache(directory, n):
-    """Load a cached enumeration; returns ``None`` if the file is missing."""
-    path = cache_path(directory, n)
-    if not path.exists():
-        return None
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("n") != n or doc.get("count") != len(doc.get("partitions", [])):
-        raise ValueError(f"corrupt cache file {path}")
-    return tuple(PlanePartition(tuple(tuple(b) for b in p)) for p in doc["partitions"])

@@ -161,10 +161,6 @@ class QSeries:
         return "QSeries[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
 
-def substitute_q_scale(f, c, sign=1):
-    return f.q_scale(c, sign)
-
-
 def plethystic_exp(coeff_fn, order):
     """Plethystic exponential ``Exp(f) = exp(sum_n f(params^n; q^n)/n)``.
 

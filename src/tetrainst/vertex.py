@@ -36,11 +36,6 @@ def char_P(index_set, nslots=0):
     return out
 
 
-def kappa_monomial(i, nslots=0):
-    """Calabi-Yau weight ``kappa_i = t_i^(-1)`` of the i-th hyperplane."""
-    return t_monomial(i, -1, nslots=nslots)
-
-
 @dataclass
 class FixedPointData:
     """All characters attached to one fixed point."""

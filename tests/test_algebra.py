@@ -13,7 +13,6 @@ from tetrainst.algebra import (
     TrivialWeightError,
     bracket_eval,
     bracket_monomial,
-    canonicalize,
     eval_monomial,
     euler_eval,
     euler_monomial,
@@ -29,12 +28,12 @@ from tetrainst.vertex import char_P
 def test_canonicalize_relation():
     # t1 t2 t3 t4 is the trivial weight
     m = Monomial((2, 2, 2, 2))
-    assert canonicalize(m).is_trivial()
+    assert m.canonical().is_trivial()
     # t4 = t1^-1 t2^-1 t3^-1
     assert t_monomial(4) == Monomial((-2, -2, -2, 0))
     # already canonical stays put
     m = Monomial((2, 0, 0, 0), (1,))
-    assert canonicalize(m) == m
+    assert m.canonical() == m
 
 
 def test_canonical_idempotent_and_multiplicative():

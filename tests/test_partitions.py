@@ -5,15 +5,12 @@ from tetrainst.partitions import (
     Configuration,
     PlanePartition,
     SolidPartition,
-    cache_path,
     configuration_sign,
     embed_to_solid,
     enumerate_configurations,
     enumerate_plane_partitions,
-    read_cache,
     sign_rho,
     sign_rho_tilde,
-    write_cache,
 )
 from tetrainst.series import macmahon, macmahon_power
 
@@ -127,28 +124,3 @@ def test_configuration_sign():
         (1, 0, 0, 0), ((PlanePartition([(0, 0, 0), (0, 0, 1)]),), (), (), ())
     )
     assert configuration_sign(col1) == 1
-
-
-def test_cache_roundtrip(tmp_path):
-    count = write_cache(tmp_path, 3)
-    assert count == 6
-    assert cache_path(tmp_path, 3).exists()
-    pps = read_cache(tmp_path, 3)
-    assert pps == enumerate_plane_partitions(3)
-    assert read_cache(tmp_path, 5) is None
-
-
-def test_cache_idempotent(tmp_path):
-    write_cache(tmp_path, 2)
-    first = cache_path(tmp_path, 2).read_bytes()
-    write_cache(tmp_path, 2)
-    assert cache_path(tmp_path, 2).read_bytes() == first
-
-
-def test_cache_corruption_detected(tmp_path):
-    write_cache(tmp_path, 2)
-    path = cache_path(tmp_path, 2)
-    doc = path.read_text().replace('"count":3', '"count":7')
-    path.write_text(doc)
-    with pytest.raises(ValueError):
-        read_cache(tmp_path, 2)

@@ -11,7 +11,6 @@ from tetrainst.series import (
     macmahon,
     macmahon_power,
     plethystic_exp,
-    substitute_q_scale,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -64,8 +63,8 @@ def test_stretch_and_shift():
 
 def test_q_scale():
     f = QSeries([1, 1, 0])
-    assert substitute_q_scale(f, 1, 1) == f
-    assert substitute_q_scale(f, 2, 1) == QSeries([1, 2, 0])
+    assert f.q_scale(1, 1) == f
+    assert f.q_scale(2, 1) == QSeries([1, 2, 0])
     # double substitution composes multiplicatively
     g = f.q_scale(2).q_scale(3)
     assert g == f.q_scale(6)
