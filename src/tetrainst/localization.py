@@ -323,11 +323,13 @@ def check_framing_independence(rvec, order, seed, num_framings=3, p_order=None):
         raise ValueError("need at least 2 framing specializations")
     report = CheckReport("framing-independence", tuple(rvec), order, seed)
     nslots = sum(rvec)
-    rng = random.Random(seed)
+    # a stream of its own: random.Random(seed) would replay the sampler's
+    # draws and hand the first variant the point's own sqrt_t values
+    rng = random.Random(f"framings-{seed}")
 
     def run(point):
         variants = [point]
-        used = set(point.sqrt_w)
+        used = set(point.sqrt_w) | set(point.sqrt_t[:3])
         for _ in range(num_framings - 1):
             variants.append(
                 point.with_sqrt_w([_draw_positive(rng, used) for _ in range(nslots)])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from tetrainst import localization
 from tetrainst.algebra import CohPoint, EvalPoint, SamplerExhaustedError
 from tetrainst.formulas import closed_Z_K, closed_Z_coh
 from tetrainst.localization import (
@@ -156,6 +157,23 @@ def test_framing_independence():
     assert rep.passed
     with pytest.raises(ValueError):
         check_framing_independence((0, 0, 0, 2), 2, 29, 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_framings_drawn_apart_from_the_point(monkeypatch, seed):
+    # the framings once replayed the sampler's stream: the first variant got
+    # sqrt_w = (a1, a2) of the point, which is a pole for (1,1,0,0) at q^3
+    points = []
+
+    def recording_Z_loc_K(rvec, order, p):
+        points.append(p)
+        return Z_loc_K(rvec, order, p)
+
+    monkeypatch.setattr(localization, "Z_loc_K", recording_Z_loc_K)
+    rep = check_framing_independence((1, 1, 0, 0), 3, seed, 3)
+    assert rep.passed and rep.points_tried == 1
+    point, *framed = points
+    assert not {b for q in framed for b in q.sqrt_w} & set(point.sqrt_t)
 
 
 def test_framing_independence_elliptic_informational():
