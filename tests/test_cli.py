@@ -100,8 +100,8 @@ def test_verify_writes_report(tmp_path):
     assert doc["schema"] == "tetrainst-report/1"
 
 
-# SHA-256 of stdout, recorded before the localization sums and the per-mode
-# series were merged into one code path; reports must stay byte-identical.
+# SHA-256 of stdout for small runs: for a fixed seed the report must stay
+# byte-identical, so a digest that changes means the report changed.
 PINNED_REPORTS = [
     ("compute --rvec 0,0,0,1 --order 2 --mode k --seed 3", "9b428aa7850072f2d4b1d468c4a67586c003aa3cbdb89873f4654812dc8b3942"),
     ("compute --rvec 1,1,0,0 --order 2 --mode coh --seed 7", "fe7611d7ced6605eddbf3d559b22678a86692970fc5e2e24c33fab6c0077d055"),

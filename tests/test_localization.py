@@ -161,8 +161,8 @@ def test_framing_independence():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_framings_drawn_apart_from_the_point(monkeypatch, seed):
-    # the framings once replayed the sampler's stream: the first variant got
-    # sqrt_w = (a1, a2) of the point, which is a pole for (1,1,0,0) at q^3
+    # framings drawn from the sampler's own stream would give the first variant
+    # sqrt_w = (a1, a2) of the point, a pole for (1,1,0,0) at q^3
     points = []
 
     def recording_Z_loc_K(rvec, order, p):
