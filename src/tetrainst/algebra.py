@@ -230,6 +230,8 @@ class EvalPoint:
 
     ``sqrt_t = (a1, a2, a3, a4)`` with ``a1*a2*a3*a4 == 1`` (the square-root
     form of the Calabi-Yau relation) and one positive rational per w-slot.
+    ``values`` holds the measures' per-weight values at this point, filled
+    lazily; a derived point starts with an empty one.
     """
 
     def __init__(self, sqrt_t3, sqrt_w=()):
@@ -241,18 +243,21 @@ class EvalPoint:
         self.sqrt_w = tuple(Fraction(b) for b in sqrt_w)
         if any(b == 0 for b in self.sqrt_w):
             raise ValueError("square-root bases must be nonzero")
+        self.values = {}
 
     def powered(self, n):
         """The point with every base raised to the n-th power (plethysm)."""
         p = EvalPoint.__new__(EvalPoint)
         p.sqrt_t = tuple(a ** n for a in self.sqrt_t)
         p.sqrt_w = tuple(b ** n for b in self.sqrt_w)
+        p.values = {}
         return p
 
     def with_sqrt_w(self, sqrt_w):
         p = EvalPoint.__new__(EvalPoint)
         p.sqrt_t = self.sqrt_t
         p.sqrt_w = tuple(Fraction(b) for b in sqrt_w)
+        p.values = {}
         return p
 
     def __repr__(self):
@@ -260,17 +265,23 @@ class EvalPoint:
 
 
 class CohPoint:
-    """Exact rational Chern roots ``s1..s4`` with ``s1+s2+s3+s4 == 0``."""
+    """Exact rational Chern roots ``s1..s4`` with ``s1+s2+s3+s4 == 0``.
+
+    ``values`` holds the per-weight Euler classes at this point, filled
+    lazily; a derived point starts with an empty one.
+    """
 
     def __init__(self, s3, v=()):
         s1, s2, s3_ = (Fraction(s) for s in s3)
         self.s = (s1, s2, s3_, -(s1 + s2 + s3_))
         self.v = tuple(Fraction(x) for x in v)
+        self.values = {}
 
     def with_v(self, v):
         p = CohPoint.__new__(CohPoint)
         p.s = self.s
         p.v = tuple(Fraction(x) for x in v)
+        p.values = {}
         return p
 
     def __repr__(self):
@@ -313,23 +324,50 @@ def bracket_monomial(m, p):
     return s - 1 / s
 
 
+def _product(V, p, weigh, what):
+    """``prod weigh(m, p) ** mult`` over the terms of a movable character.
+
+    Each weight is weighed once per point and its value kept in ``p.values``.
+    Every factor is weighed before the result is decided, so it does not
+    depend on the order of the terms: a vanishing factor with negative
+    multiplicity is a pole, and otherwise a vanishing factor gives 0.
+    """
+    values = p.values
+    val = Fraction(1)
+    pole = None
+    zero = False
+    try:
+        for m, mult in V.terms.items():
+            x = values.get(m)
+            if x is None:
+                if m.is_trivial():
+                    raise TrivialWeightError("character has a nonzero fixed part")
+                x = values[m] = weigh(m, p)
+            if not x:
+                if mult < 0 and pole is None:
+                    pole = m
+                zero = True
+            elif not zero:
+                val *= x ** mult
+    except FractionalPowerError:
+        # a nonzero fixed part is reported first, wherever its term sits
+        if not V.fixed_part().is_zero():
+            raise TrivialWeightError("character has a nonzero fixed part") from None
+        raise
+    if pole is not None:
+        raise PoleAtPointError(f"{what} pole at {pole!r}")
+    if zero:
+        return Fraction(0)
+    return val
+
+
 def bracket_eval(V, p):
     """Multiplicative extension of the bracket to a movable character.
 
     Raises :class:`TrivialWeightError` if ``V`` has a nonzero fixed part and
     :class:`PoleAtPointError` if a negative-multiplicity factor vanishes.
     """
-    if not V.fixed_part().is_zero():
-        raise TrivialWeightError("character has a nonzero fixed part")
-    val = Fraction(1)
-    for m, mult in V.terms.items():
-        b = bracket_monomial(m, p)
-        if b == 0:
-            if mult < 0:
-                raise PoleAtPointError(f"bracket pole at {m!r}")
-            return Fraction(0)
-        val *= b ** mult
-    return val
+    return _product(V, p, bracket_monomial, "bracket")
 
 
 def euler_monomial(m, p):
@@ -347,17 +385,7 @@ def euler_monomial(m, p):
 
 def euler_eval(V, p):
     """Multiplicative extension of the Euler class to a movable character."""
-    if not V.fixed_part().is_zero():
-        raise TrivialWeightError("character has a nonzero fixed part")
-    val = Fraction(1)
-    for m, mult in V.terms.items():
-        e = euler_monomial(m, p)
-        if e == 0:
-            if mult < 0:
-                raise PoleAtPointError(f"Euler-class pole at {m!r}")
-            return Fraction(0)
-        val *= e ** mult
-    return val
+    return _product(V, p, euler_monomial, "Euler-class")
 
 
 def theta_monomial(m, p, order):
@@ -391,9 +419,12 @@ def theta_eval(V, p, order):
         raise FractionalPowerError(
             f"aggregate elliptic prefactor p^({twelfths}/12) is not an integer power"
         )
+    values = p.values
     val = QSeries.one(order)
     for m, mult in V.terms.items():
-        f = theta_monomial(m, p, order)
+        f = values.get((m, order))
+        if f is None:
+            f = values[(m, order)] = theta_monomial(m, p, order)
         if mult >= 0:
             val = val * f ** mult
         else:

@@ -31,7 +31,6 @@ from .localization import (
 SCHEMA = "tetrainst-report/1"
 
 EXIT_CHECK_FAILED = 1
-EXIT_INVALID = 2
 EXIT_SAMPLER = 3
 EXIT_INTERNAL = 4
 
@@ -126,7 +125,8 @@ def compute(rvec, order, mode, p_order, seed, out):
         },
         "series": series,
     }
-    _emit(doc, out)
+    with _exit_codes():
+        _emit(doc, out)
 
 
 @main.command()
@@ -172,7 +172,8 @@ def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
         "passed": passed,
         "checks": [_report_doc(r) for r in reports],
     }
-    _emit(doc, out)
+    with _exit_codes():
+        _emit(doc, out)
     if not passed:
         sys.exit(EXIT_CHECK_FAILED)
 

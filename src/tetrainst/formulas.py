@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .algebra import (
     Character,
-    EvalPoint,
     Monomial,
     bracket_eval,
     bracket_monomial,

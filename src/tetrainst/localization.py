@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (
     Character,
@@ -131,14 +132,33 @@ def sample_until(fn, seed, rvec, mode="k", max_tries=SAMPLER_MAX_TRIES):
 # localization sums
 
 
+# One shared instance of every weight in the cached characters below: the
+# same few hundred weights recur across thousands of terms.
+_WEIGHTS = {}
+
+
+def _interned(V):
+    return Character({_WEIGHTS.setdefault(m, m): mult for m, mult in V.terms.items()})
+
+
+@lru_cache(maxsize=None)
+def _minus_vertices(rvec, n):
+    """Minus the vertex of every configuration of size ``n``, in enumeration
+    order; built once per process, since it does not depend on the point."""
+    return tuple(
+        _interned(-vertex(build_fixed_point(config)))
+        for config in enumerate_configurations(rvec, n)
+    )
+
+
 def _localization_sum(rvec, order, measure, zero):
     """Coefficients up to ``order``: ``measure`` of minus the vertex, summed
     over the configurations of each size, starting from ``zero``."""
     coeffs = []
     for n in range(order + 1):
         total = zero
-        for config in enumerate_configurations(rvec, n):
-            total = total + measure(-vertex(build_fixed_point(config)))
+        for V in _minus_vertices(tuple(rvec), n):
+            total = total + measure(V)
         coeffs.append(total)
     return coeffs
 
@@ -216,6 +236,17 @@ def check_sign_identity(config, p):
     Checks the main identity relating the two square roots and the per-slot
     and per-pair block identities that imply it.  Returns True iff all hold.
     """
+    return all(
+        sign * bracket_eval(lhs, p) == bracket_eval(rhs, p)
+        for sign, lhs, rhs in _sign_identities(config)
+    )
+
+
+@lru_cache(maxsize=None)
+def _sign_identities(config):
+    """``(sign, lhs, rhs)`` with ``sign * [lhs] == [rhs]`` for each identity
+    of the sign rule, in checking order; built once per process, since the
+    characters do not depend on the point."""
     fp = build_fixed_point(config)
     ns = fp.registry.rank
     v = vertex(fp)
@@ -225,8 +256,7 @@ def check_sign_identity(config, p):
         ti = Character.of(t_monomial(i, nslots=ns))
         extra = extra + fp.K_leg[i - 1] * ti * fp.Q.dual()
     sign = -1 if configuration_sign(config) else 1
-    if sign * bracket_eval(extra - vt, p) != bracket_eval(-v, p):
-        return False
+    out = [(sign, extra - vt, -v)]
 
     P123d = char_P({1, 2, 3}, ns).dual()
     for (i, l), pp in config.slots():
@@ -234,17 +264,15 @@ def check_sign_identity(config, p):
         lhs_char = Z - P123d * Z * Z.dual()
         rhs_char = Z - char_P(other_indices(i), ns).dual() * Z * Z.dual()
         s = -1 if sign_rho(embed_to_solid(pp, i)) else 1
-        if s * bracket_eval(lhs_char, p) != bracket_eval(rhs_char, p):
-            return False
+        out.append((s, lhs_char, rhs_char))
 
     slots = list(fp.registry.wslots)
     for a, (i, l) in enumerate(slots):
         for (j, k) in slots[a + 1 :]:
             rhs_char = _half_block(fp, i, l, j, k, pleg=j) + _half_block(fp, j, k, i, l, pleg=j)
             lhs_char = _generic_pair_block(fp, i, l, j, k)
-            if bracket_eval(lhs_char, p) != bracket_eval(rhs_char, p):
-                return False
-    return True
+            out.append((1, lhs_char, rhs_char))
+    return tuple((s, _interned(lhs), _interned(rhs)) for s, lhs, rhs in out)
 
 
 def _generic_pair_block(fp, i, l, j, k):

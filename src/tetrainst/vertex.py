@@ -10,6 +10,7 @@ rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import (
     Character,
@@ -28,9 +29,18 @@ def other_indices(i):
 
 
 def char_P(index_set, nslots=0):
-    """``P_I = prod_{l in I} (1 - t_l)`` expanded as a character."""
+    """``P_I = prod_{l in I} (1 - t_l)`` expanded as a character.
+
+    Built once per process for each index set and registry size; callers
+    share the result and must not mutate it.
+    """
+    return _char_P(tuple(sorted(index_set)), nslots)
+
+
+@lru_cache(maxsize=None)
+def _char_P(indices, nslots):
     out = Character.one(nslots)
-    for l in sorted(index_set):
+    for l in indices:
         factor = Character({trivial_monomial(nslots): 1, t_monomial(l, nslots=nslots): -1})
         out = out * factor
     return out

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tetrainst.algebra import (
     Character,
@@ -137,6 +138,78 @@ def test_bracket_pole():
         bracket_eval(Character.of(t_monomial(1), -1), p)
     # in the numerator it just kills the product
     assert bracket_eval(Character.of(t_monomial(1), 1), p) == 0
+
+
+def test_zero_over_zero_is_a_pole_in_either_term_order():
+    # a1 = a2 makes both [t1/t2] and [t2/t1] vanish
+    p = EvalPoint((3, 3, 5))
+    up = (t_monomial(1) * t_monomial(2, -1)).canonical()
+    down = up.inverse()
+    for terms in ({up: 1, down: -1}, {down: -1, up: 1}):
+        with pytest.raises(PoleAtPointError):
+            bracket_eval(Character(terms), p)
+    q = CohPoint((3, 3, 5))
+    for terms in ({up: 1, down: -1}, {down: -1, up: 1}):
+        with pytest.raises(PoleAtPointError):
+            euler_eval(Character(terms), q)
+
+
+def _outcome(measure, V, p):
+    try:
+        return measure(V, p)
+    except (PoleAtPointError, TrivialWeightError, FractionalPowerError) as exc:
+        return type(exc)
+
+
+# t1/t2 and t2/t1 vanish under both measures at the points below (a1 = a2,
+# s1 = s2); the trivial and the half weight are invalid in a character
+_T12 = (t_monomial(1) * t_monomial(2, -1)).canonical()
+_WEIGHT_POOL = [
+    _T12,
+    _T12.inverse(),
+    t_monomial(1),
+    t_monomial(3),
+    (t_monomial(1) * t_monomial(3)).canonical(),
+    trivial_monomial(),
+    t_monomial(3, 1, half=True),
+]
+
+
+@given(
+    st.dictionaries(st.sampled_from(_WEIGHT_POOL), st.sampled_from([-2, -1, 1, 2]), min_size=1),
+    st.data(),
+)
+def test_measures_ignore_term_order(terms, data):
+    items = list(terms.items())
+    shuffled = data.draw(st.permutations(items))
+    for measure, point in (
+        (bracket_eval, lambda: EvalPoint((3, 3, 5))),
+        (euler_eval, lambda: CohPoint((3, 3, 5))),
+    ):
+        want = _outcome(measure, Character(dict(items)), point())
+        assert _outcome(measure, Character(dict(shuffled)), point()) == want
+        # the per-point values filled by the first order serve the second
+        p = point()
+        _outcome(measure, Character(dict(items)), p)
+        assert _outcome(measure, Character(dict(shuffled)), p) == want
+
+
+def test_derived_points_start_with_no_values():
+    V = Character({t_monomial(1, nslots=1): 1, w_monomial(0, 1, 1): -1})
+    p = EvalPoint((Fraction(2, 3), 5, 7), (Fraction(3, 2),))
+    bracket_eval(V, p)
+    theta_eval(V, p, 2)
+    assert p.values
+    for derived, fresh in (
+        (p.with_sqrt_w((11,)), EvalPoint((Fraction(2, 3), 5, 7), (11,))),
+        (p.powered(2), EvalPoint((Fraction(4, 9), 25, 49), (Fraction(9, 4),))),
+    ):
+        assert bracket_eval(V, derived) == bracket_eval(V, fresh)
+        assert theta_eval(V, derived, 2) == theta_eval(V, fresh, 2)
+    c = CohPoint((3, 5, 7), (2,))
+    euler_eval(V, c)
+    assert c.values
+    assert euler_eval(V, c.with_v((4,))) == euler_eval(V, CohPoint((3, 5, 7), (4,)))
 
 
 def test_bracket_needs_integer_weight():

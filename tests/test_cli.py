@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from tetrainst import cli
 from tetrainst.cli import main
+from tetrainst.localization import CheckReport
 
 
 def run_cli(args, env=None):
@@ -129,3 +130,25 @@ def test_unexpected_error_exits_internal(monkeypatch):
     result = run_cli(["verify", "--suite", "euler", "--r", "1", "--order", "2"])
     assert result.exit_code == cli.EXIT_INTERNAL
     assert "RuntimeError: boom" in result.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "euler", "--r", "1", "--order", "1"],
+    ["compute", "--rvec", "0,0,0,1", "--order", "1"],
+])
+def test_unwritable_out_exits_internal(tmp_path, argv):
+    result = run_cli([*argv, "--out", str(tmp_path / "no" / "such" / "x.json")])
+    assert result.exit_code == cli.EXIT_INTERNAL
+    assert "FileNotFoundError" in result.output
+
+
+def test_failed_check_exits_check_failed(monkeypatch):
+    def failing(r, order):
+        report = CheckReport("euler-characteristics", (r, 0, 0, 0), order)
+        report.record(False)
+        return report
+
+    monkeypatch.setattr(cli, "check_euler_characteristics", failing)
+    result = run_cli(["verify", "--suite", "euler", "--r", "1", "--order", "1"])
+    assert result.exit_code == cli.EXIT_CHECK_FAILED
+    assert json.loads(result.stdout)["passed"] is False

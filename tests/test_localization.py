@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from tetrainst.localization import (
 )
 from tetrainst.partitions import Configuration, PlanePartition, enumerate_configurations
 from tetrainst.series import QSeries
+from tetrainst.vertex import _char_P, build_fixed_point
 
 
 def test_sample_point_deterministic():
@@ -228,3 +230,31 @@ def test_localization_sum_order_independent():
 
     (f, b), _, _ = sample_until(run, 47, (1, 1, 0, 0))
     assert f == b
+
+
+def test_characters_built_once_per_configuration(monkeypatch):
+    localization._minus_vertices.cache_clear()
+    built = Counter()
+
+    def counting_build(config):
+        built[config] += 1
+        return build_fixed_point(config)
+
+    monkeypatch.setattr(localization, "build_fixed_point", counting_build)
+    rvec = (1, 1, 0, 0)
+    assert verify_main(rvec, 3, 11, 5).passed
+    assert check_framing_independence(rvec, 3, 11, 3).passed
+    assert set(built) == {c for n in range(4) for c in enumerate_configurations(rvec, n)}
+    assert max(built.values()) == 1
+
+
+def test_Z_loc_K_same_from_warm_and_cleared_caches():
+    rvec = (1, 1, 0, 0)
+    sqrt_t3, sqrt_w = (Fraction(2, 3), Fraction(5, 7), Fraction(11, 2)), (Fraction(3, 5), 13)
+    p = EvalPoint(sqrt_t3, sqrt_w)
+    warm = [Z_loc_K(rvec, 3, p) for _ in range(2)]
+    localization._minus_vertices.cache_clear()
+    _char_P.cache_clear()
+    cold = Z_loc_K(rvec, 3, EvalPoint(sqrt_t3, sqrt_w))
+    assert warm[0] == warm[1] == cold
+    assert cold == closed_Z_K(rvec, 3, EvalPoint(sqrt_t3, sqrt_w))
