@@ -18,7 +18,6 @@ torus representation).  The three localization measures act on characters:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import QSeries
@@ -73,27 +72,36 @@ class VariableRegistry:
         return f"VariableRegistry(rvec={self.rvec})"
 
 
-@dataclass(frozen=True)
 class Monomial:
     """A Laurent monomial ``prod t_i^(texp_i/2) * prod w_s^(wexp_s/2)``.
 
-    ``texp`` and ``wexp`` hold doubled exponents.  The monomial is *canonical*
-    when ``texp[3] == 0``; the relation ``t1*t2*t3*t4 == 1`` lets any multiple
-    of ``(1,1,1,1)`` be subtracted from ``texp``.
+    ``texp`` and ``wexp`` hold doubled exponents.  The relation
+    ``t1*t2*t3*t4 == 1`` lets any multiple of ``(1,1,1,1)`` be subtracted
+    from ``texp``; the constructor subtracts ``texp[3]``, so every instance is
+    in canonical form and equal weights compare and hash equal.  Products,
+    inverses and powers of canonical monomials are canonical already.
+    Monomials are dict keys and must not be mutated; the hash is taken once,
+    since every update of a character looks its monomial up twice.
     """
 
-    texp: tuple
-    wexp: tuple = ()
+    __slots__ = ("texp", "wexp", "_hash")
 
-    def canonical(self):
-        c = self.texp[3]
-        if c == 0:
-            return self
-        return Monomial(tuple(e - c for e in self.texp), self.wexp)
+    def __init__(self, texp, wexp=()):
+        c = texp[3]
+        self.texp = texp = tuple(e - c for e in texp) if c else tuple(texp)
+        self.wexp = wexp = tuple(wexp)
+        self._hash = hash((texp, wexp))
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.texp == other.texp and self.wexp == other.wexp
+
+    def __hash__(self):
+        return self._hash
 
     def is_trivial(self):
-        m = self.canonical()
-        return all(e == 0 for e in m.texp) and all(e == 0 for e in m.wexp)
+        return not any(self.texp) and not any(self.wexp)
 
     def __mul__(self, other):
         if len(self.wexp) != len(other.wexp):
@@ -101,13 +109,13 @@ class Monomial:
         return Monomial(
             tuple(a + b for a, b in zip(self.texp, other.texp)),
             tuple(a + b for a, b in zip(self.wexp, other.wexp)),
-        ).canonical()
+        )
 
     def inverse(self):
-        return Monomial(tuple(-e for e in self.texp), tuple(-e for e in self.wexp)).canonical()
+        return Monomial(tuple(-e for e in self.texp), tuple(-e for e in self.wexp))
 
     def __pow__(self, n):
-        return Monomial(tuple(n * e for e in self.texp), tuple(n * e for e in self.wexp)).canonical()
+        return Monomial(tuple(n * e for e in self.texp), tuple(n * e for e in self.wexp))
 
     def __repr__(self):
         parts = []
@@ -120,17 +128,17 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-def t_monomial(i, power=1, half=False, nslots=0):
-    """The monomial ``t_i**power`` (or ``t_i**(power/2)`` when ``half``)."""
+def t_monomial(i, power=1, nslots=0):
+    """The monomial ``t_i**power``."""
     texp = [0, 0, 0, 0]
-    texp[i - 1] = power if half else 2 * power
-    return Monomial(tuple(texp), (0,) * nslots).canonical()
+    texp[i - 1] = 2 * power
+    return Monomial(tuple(texp), (0,) * nslots)
 
 
-def w_monomial(slot, power=1, nslots=1, half=False):
+def w_monomial(slot, power=1, nslots=1):
     """The monomial ``w_slot**power`` over a registry with ``nslots`` w-slots."""
     wexp = [0] * nslots
-    wexp[slot] = power if half else 2 * power
+    wexp[slot] = 2 * power
     return Monomial((0, 0, 0, 0), tuple(wexp))
 
 
@@ -156,7 +164,6 @@ class Character:
     def _add(self, m, mult):
         if mult == 0:
             return
-        m = m.canonical()
         new = self.terms.get(m, 0) + mult
         if new:
             self.terms[m] = new
@@ -301,26 +308,19 @@ def eval_monomial(m, p):
     return val
 
 
-def _sqrt_eval(m, p):
-    # value of m**(1/2); needs all doubled exponents even (integer weights)
+def _sqrt(m):
+    """``m**(1/2)`` for an integer weight ``m``: its doubled exponents are the
+    exponents of ``m``.  A genuine half-integer power has no exact root."""
     if any(e % 2 for e in m.texp) or any(e % 2 for e in m.wexp):
-        raise FractionalPowerError(f"no exact square root for {m!r}")
-    val = Fraction(1)
-    for a, e in zip(p.sqrt_t, m.texp):
-        if e:
-            val *= a ** (e // 2)
-    for b, e in zip(p.sqrt_w, m.wexp):
-        if e:
-            val *= b ** (e // 2)
-    return val
+        raise FractionalPowerError(f"{m!r} is not an integer weight")
+    return Monomial(tuple(e // 2 for e in m.texp), tuple(e // 2 for e in m.wexp))
 
 
 def bracket_monomial(m, p):
     """``[m] = m^(1/2) - m^(-1/2)`` evaluated at ``p``."""
-    m = m.canonical()
     if m.is_trivial():
         raise TrivialWeightError("bracket of the trivial weight is undefined")
-    s = _sqrt_eval(m, p)
+    s = eval_monomial(_sqrt(m), p)
     return s - 1 / s
 
 
@@ -372,14 +372,12 @@ def bracket_eval(V, p):
 
 def euler_monomial(m, p):
     """The equivariant first Chern class ``mu . s`` of an integer weight."""
-    m = m.canonical()
-    if any(e % 2 for e in m.texp) or any(e % 2 for e in m.wexp):
-        raise FractionalPowerError(f"Euler class needs integer exponents: {m!r}")
+    r = _sqrt(m)
     val = Fraction(0)
-    for s, e in zip(p.s, m.texp):
-        val += s * (e // 2)
-    for v, e in zip(p.v, m.wexp):
-        val += v * (e // 2)
+    for s, e in zip(p.s, r.texp):
+        val += s * e
+    for v, e in zip(p.v, r.wexp):
+        val += v * e
     return val
 
 
@@ -395,7 +393,6 @@ def theta_monomial(m, p, order):
     ``order``; the ``p^(1/12)`` prefactor is tracked by the caller.  The
     constant term is ``bracket_monomial(m, p)``.
     """
-    m = m.canonical()
     if m.is_trivial():
         raise TrivialWeightError("theta measure of the trivial weight is undefined")
     y = eval_monomial(m, p)

@@ -14,6 +14,7 @@ import json
 import sys
 import traceback
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import click
 
@@ -77,19 +78,6 @@ def _emit(doc, out):
             fh.write(text)
     else:
         click.echo(text, nl=False)
-
-
-def _report_doc(report):
-    return {
-        "name": report.name,
-        "rvec": list(report.rvec) if report.rvec else None,
-        "order": report.order,
-        "seed": report.seed,
-        "points_tried": report.points_tried,
-        "points_used": report.points_used,
-        "passed": report.passed,
-        "details": report.details,
-    }
 
 
 @click.group()
@@ -170,7 +158,7 @@ def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
             "framings": framings,
         },
         "passed": passed,
-        "checks": [_report_doc(r) for r in reports],
+        "checks": [asdict(r) for r in reports],
     }
     with _exit_codes():
         _emit(doc, out)

@@ -43,7 +43,7 @@ class RankVector:
 
     def kappa_rbar(self):
         """``kappa_rbar = prod_i t_i^(-r_i)`` as a canonical monomial."""
-        return Monomial(tuple(-2 * ri for ri in self.rvec)).canonical()
+        return Monomial(tuple(-2 * ri for ri in self.rvec))
 
     def __repr__(self):
         return f"RankVector({self.rvec})"
@@ -53,7 +53,7 @@ def _prefactor_character():
     # [t1t2][t1t3][t2t3] / ([t1][t2][t3][t4]) as a virtual character
     terms = {}
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        m = (t_monomial(i) * t_monomial(j)).canonical()
+        m = t_monomial(i) * t_monomial(j)
         terms[m] = terms.get(m, 0) + 1
     for i in range(1, 5):
         m = t_monomial(i)
@@ -104,7 +104,7 @@ def factorization_scale(rvec, i, l):
     texp[i - 1] += -(-(rv.rvec[i - 1]) - 1 + 2 * l)  # kappa_i = t_i^(-1), doubled
     for j in range(1, 5):
         texp[j - 1] += rv.rvec[j - 1] * sgn(i - j) * (-1)
-    return Monomial(tuple(texp)).canonical()
+    return Monomial(tuple(texp))
 
 
 def factorized_Z(rvec, order, p):
@@ -143,7 +143,7 @@ def rank1_relation_residual(p):
         for j in range(1, i):
             texp[j - 1] -= 2
         texp[i - 1] -= 1
-        coeff = eval_monomial(Monomial(tuple(texp)).canonical(), p)
+        coeff = eval_monomial(Monomial(tuple(texp)), p)
         total += coeff * rank1_Z(i, 1, p).coefficient(1)
     return total
 

@@ -24,7 +24,6 @@ from .algebra import (
     euler_eval,
     t_monomial,
     theta_eval,
-    w_monomial,
 )
 from .formulas import check_kappa_identity, closed_Z_K, closed_Z_coh, factorized_Z
 from .partitions import (
@@ -42,6 +41,7 @@ from .vertex import (
     other_indices,
     tilde_vertex,
     vertex,
+    vertex_block,
     _half_block,
 )
 
@@ -269,27 +269,11 @@ def _sign_identities(config):
     slots = list(fp.registry.wslots)
     for a, (i, l) in enumerate(slots):
         for (j, k) in slots[a + 1 :]:
-            rhs_char = _half_block(fp, i, l, j, k, pleg=j) + _half_block(fp, j, k, i, l, pleg=j)
-            lhs_char = _generic_pair_block(fp, i, l, j, k)
+            # the generic block takes both P-factors from leg 4 (Pbar_123)
+            lhs_char = _half_block(fp, i, l, j, k, pleg=4) + _half_block(fp, j, k, i, l, pleg=4)
+            rhs_char = vertex_block(fp, i, l, j, k)
             out.append((1, lhs_char, rhs_char))
     return tuple((s, _interned(lhs), _interned(rhs)) for s, lhs, rhs in out)
-
-
-def _generic_pair_block(fp, i, l, j, k):
-    # the pair block with both P-factors replaced by Pbar_{123}
-    ns = fp.registry.rank
-    P123d = char_P({1, 2, 3}, ns).dual()
-    out = Character.zero()
-    for (a, b), (c, d) in (((i, l), (j, k)), ((j, k), (i, l))):
-        wfac = Character.of(
-            w_monomial(fp.registry.slot(a, b), -1, ns)
-            * w_monomial(fp.registry.slot(c, d), 1, ns)
-        )
-        Zcd = fp.Z[(c, d)]
-        Zab_d = fp.Z[(a, b)].dual()
-        kappa_inv = Character.of(t_monomial(c, nslots=ns))
-        out = out + wfac * (Zcd - kappa_inv * Zab_d - P123d * Zcd * Zab_d)
-    return out
 
 
 def check_rho_tilde_vanishes(max_size):

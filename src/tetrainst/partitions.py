@@ -13,8 +13,8 @@ from functools import lru_cache
 
 
 @dataclass(frozen=True)
-class PlanePartition:
-    """An order ideal in Z^3_{>=0}, stored as a sorted tuple of box triples."""
+class OrderIdeal:
+    """A finite order ideal in Z^d_{>=0}, stored as a sorted tuple of boxes."""
 
     boxes: tuple
 
@@ -30,13 +30,17 @@ class PlanePartition:
         for box in cells:
             if any(c < 0 for c in box):
                 return False
-            for k in range(3):
+            for k in range(len(box)):
                 if box[k] > 0:
                     below = list(box)
                     below[k] -= 1
                     if tuple(below) not in cells:
                         return False
         return True
+
+
+class PlanePartition(OrderIdeal):
+    """An order ideal in Z^3_{>=0}, stored as a sorted tuple of box triples."""
 
     def __iter__(self):
         return iter(self.boxes)
@@ -45,31 +49,8 @@ class PlanePartition:
         return len(self.boxes)
 
 
-@dataclass(frozen=True)
-class SolidPartition:
+class SolidPartition(OrderIdeal):
     """An order ideal in Z^4_{>=0}."""
-
-    boxes: tuple
-
-    def __init__(self, boxes):
-        object.__setattr__(self, "boxes", tuple(sorted(tuple(b) for b in boxes)))
-
-    @property
-    def size(self):
-        return len(self.boxes)
-
-    def is_valid(self):
-        cells = set(self.boxes)
-        for box in cells:
-            if any(c < 0 for c in box):
-                return False
-            for k in range(4):
-                if box[k] > 0:
-                    below = list(box)
-                    below[k] -= 1
-                    if tuple(below) not in cells:
-                        return False
-        return True
 
 
 @dataclass(frozen=True)

@@ -104,14 +104,11 @@ class QSeries:
     def __pow__(self, n):
         if n < 0:
             return self.invert() ** (-n)
-        out = QSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n <= 1:
+            return self if n else QSeries.one(self.order)
+        half = self ** (n // 2)
+        out = half * half
+        return out * self if n & 1 else out
 
     def exp(self):
         """exp of a series with zero constant term."""

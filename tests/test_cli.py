@@ -110,6 +110,8 @@ PINNED_REPORTS = [
     ("verify --suite main --rvec 1,1,0,0 --order 2 --points 2 --seed 1", "2a36afd42271adc702eb338e8c391420b7355605c8c8b411905477defe026f13"),
     ("verify --suite main --rvec 1,1,0,0 --order 2 --points 2 --mode coh --seed 1", "9a5d770f466c7561b93cf444b86b472df1aaa1fcb9c341e6718f143e6202cc4c"),
     ("verify --suite signs --rvec 0,0,0,1 --order 2 --points 2 --seed 1", "43bd813d2e4dc5218d16630d973769ccea1c2efe7904ea74792dafef4e4fe8d0"),
+    ("verify --suite signs --rvec 1,1,0,0 --order 2", "8f3b1356cf64be412faf8d1312596ce6c40862a415580f49168dbf8acb92d5ad"),
+    ("verify --suite signs --rvec 2,0,0,1 --order 2", "88ba1573cc11ccfd69a266e5c559fdbede2b5be33a04d49aab978499eb8d5b65"),
     ("verify --suite euler --r 1 --order 2", "0e1a294853761859ed8a30ceb8e647989f14fc2cca811dfa0f704cf5758165d8"),
     ("verify --suite kappa --order 2 --points 2 --seed 2", "cbb8824bfaf610add22863aab144764fc47ca00a79229dc8e90331de5b3c61b8"),
 ]

@@ -52,6 +52,28 @@ def test_pow_negative():
     assert f ** -2 == (f.invert()) ** 2
 
 
+def test_pow_multiplies_only_as_often_as_needed(monkeypatch):
+    calls = []
+    mul = QSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    f = QSeries([1, 2, Fraction(1, 3), -1])
+    for n in range(1, 9):
+        want = f
+        for _ in range(n - 1):
+            want = mul(want, f)
+        monkeypatch.setattr(QSeries, "__mul__", counted)
+        calls.clear()
+        got = f ** n
+        monkeypatch.undo()
+        # square-and-multiply: one squaring per bit below the top, one product per lower set bit
+        assert len(calls) == (n.bit_length() - 1) + (bin(n).count("1") - 1)
+        assert got == want
+
+
 def test_stretch_and_shift():
     f = QSeries([1, 2, 3, 0, 0, 0])
     assert f.stretch(2) == QSeries([1, 0, 2, 0, 3, 0])
