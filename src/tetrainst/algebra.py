@@ -238,7 +238,9 @@ class EvalPoint:
     ``sqrt_t = (a1, a2, a3, a4)`` with ``a1*a2*a3*a4 == 1`` (the square-root
     form of the Calabi-Yau relation) and one positive rational per w-slot.
     ``values`` holds the measures' per-weight values at this point, filled
-    lazily; a derived point starts with an empty one.
+    lazily: under a weight its bracket, and under ``(weight, order)`` the
+    Adams sums ``y**k + y**-k`` for ``k = 1..order`` that the theta measure
+    adds up.  A derived point starts with an empty one.
     """
 
     def __init__(self, sqrt_t3, sqrt_w=()):
@@ -391,7 +393,8 @@ def theta_monomial(m, p, order):
 
     Returns ``[x] * prod_{n>=1} (1 - x p^n)(1 - 1/x p^n)`` truncated at
     ``order``; the ``p^(1/12)`` prefactor is tracked by the caller.  The
-    constant term is ``bracket_monomial(m, p)``.
+    constant term is ``bracket_monomial(m, p)``.  This is the product-form
+    route that :func:`theta_eval`'s plethystic form is tested against.
     """
     if m.is_trivial():
         raise TrivialWeightError("theta measure of the trivial weight is undefined")
@@ -403,9 +406,25 @@ def theta_monomial(m, p, order):
     return f
 
 
+def _adams_sums(y, order):
+    """``[y**k + y**-k for k in 1..order]`` for a nonzero rational ``y``."""
+    out = []
+    yk = yinv = Fraction(1)
+    inv = 1 / y
+    for _ in range(order):
+        yk *= y
+        yinv *= inv
+        out.append(yk + yinv)
+    return out
+
+
 def theta_eval(V, p, order):
     """Elliptic measure of a movable character, truncated at ``order`` in p.
 
+    Per weight, ``log theta(y) = log [y] - sum_{n,k>=1} (y^k + y^-k) p^(nk) / k``,
+    so the measure is the bracket of ``V`` times one plethystic exponential,
+    ``exp(-sum_M p^M sum_{k | M} S_k / k)``, where ``S_k = sum mult * (y^k + y^-k)``
+    is ``V`` at its k-th Adams power.  Its zeros and poles are the bracket's.
     The per-weight twelfth powers of p are accumulated exactly; they must
     resolve to an integer power of p (automatic for rank-0 characters).
     """
@@ -416,18 +435,23 @@ def theta_eval(V, p, order):
         raise FractionalPowerError(
             f"aggregate elliptic prefactor p^({twelfths}/12) is not an integer power"
         )
+    bracket = _product(V, p, bracket_monomial, "theta")
+    if not bracket:
+        return QSeries.zero(order)
     values = p.values
-    val = QSeries.one(order)
+    S = [Fraction(0)] * (order + 1)
     for m, mult in V.terms.items():
-        f = values.get((m, order))
-        if f is None:
-            f = values[(m, order)] = theta_monomial(m, p, order)
-        if mult >= 0:
-            val = val * f ** mult
-        else:
-            if f.coeffs[0] == 0:
-                raise PoleAtPointError(f"theta pole at {m!r}")
-            val = val * f.invert() ** (-mult)
+        sums = values.get((m, order))
+        if sums is None:
+            sums = values[(m, order)] = _adams_sums(eval_monomial(m, p), order)
+        for k, a in enumerate(sums, start=1):
+            S[k] += mult * a
+    log = [Fraction(0)] * (order + 1)
+    for k in range(1, order + 1):
+        s = S[k] / k
+        for M in range(k, order + 1, k):
+            log[M] -= s
+    val = QSeries(log).exp() * bracket
     shift = twelfths // 12
     if shift:
         val = val.shift(shift)

@@ -142,13 +142,12 @@ def _interned(V):
 
 
 @lru_cache(maxsize=None)
-def _minus_vertices(rvec, n):
-    """Minus the vertex of every configuration of size ``n``, in enumeration
-    order; built once per process, since it does not depend on the point."""
-    return tuple(
-        _interned(-vertex(build_fixed_point(config)))
-        for config in enumerate_configurations(rvec, n)
-    )
+def _characters(config):
+    """The fixed-point data of ``config`` and minus its vertex; built once per
+    process, since neither depends on the point.  The localization sums and
+    the sign rule both read it."""
+    fp = build_fixed_point(config)
+    return fp, _interned(-vertex(fp))
 
 
 def _localization_sum(rvec, order, measure, zero):
@@ -157,8 +156,8 @@ def _localization_sum(rvec, order, measure, zero):
     coeffs = []
     for n in range(order + 1):
         total = zero
-        for V in _minus_vertices(tuple(rvec), n):
-            total = total + measure(V)
+        for config in enumerate_configurations(rvec, n):
+            total = total + measure(_characters(config)[1])
         coeffs.append(total)
     return coeffs
 
@@ -247,16 +246,15 @@ def _sign_identities(config):
     """``(sign, lhs, rhs)`` with ``sign * [lhs] == [rhs]`` for each identity
     of the sign rule, in checking order; built once per process, since the
     characters do not depend on the point."""
-    fp = build_fixed_point(config)
+    fp, minus_v = _characters(config)
     ns = fp.registry.rank
-    v = vertex(fp)
     vt = tilde_vertex(fp)
     extra = Character.zero()
     for i in range(1, 5):
         ti = Character.of(t_monomial(i, nslots=ns))
         extra = extra + fp.K_leg[i - 1] * ti * fp.Q.dual()
     sign = -1 if configuration_sign(config) else 1
-    out = [(sign, extra - vt, -v)]
+    out = [(sign, extra - vt, minus_v)]
 
     P123d = char_P({1, 2, 3}, ns).dual()
     for (i, l), pp in config.slots():

@@ -183,8 +183,18 @@ def macmahon(order):
 
 
 def macmahon_power(alpha, order):
-    """``M(q)**alpha`` for an arbitrary rational exponent ``alpha``."""
-    return (Fraction(alpha) * macmahon(order).log()).exp()
+    """``M(q)**alpha`` for an arbitrary rational exponent ``alpha``.
+
+    ``log M(q) = sum_m sigma_2(m)/m q^m``, with ``sigma_2(m)`` the sum of the
+    squares of the divisors of ``m``; this route is independent of the
+    product form :func:`macmahon`.
+    """
+    sigma2 = [0] * (order + 1)
+    for d in range(1, order + 1):
+        for m in range(d, order + 1, d):
+            sigma2[m] += d * d
+    alpha = Fraction(alpha)
+    return QSeries([0] + [alpha * sigma2[m] / m for m in range(1, order + 1)]).exp()
 
 
 class QPSeries:

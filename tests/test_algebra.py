@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from tetrainst.algebra import (
     Character,
@@ -23,7 +23,9 @@ from tetrainst.algebra import (
     trivial_monomial,
     w_monomial,
 )
-from tetrainst.vertex import char_P
+from tetrainst.partitions import enumerate_configurations
+from tetrainst.series import BadConstantTermError, QSeries
+from tetrainst.vertex import build_fixed_point, char_P, vertex
 
 
 def test_canonicalize_relation():
@@ -322,3 +324,87 @@ def test_theta_fractional_prefactor():
     p = EvalPoint((2, 3, 5))
     with pytest.raises(FractionalPowerError):
         theta_eval(Character.of(t_monomial(1)), p, 2)
+
+
+def _theta_by_products(V, p, order):
+    """The product-form route: each weight's theta series to its multiplicity."""
+    val = QSeries.one(order)
+    for m, mult in V.terms.items():
+        f = theta_monomial(m, p, order)
+        val = val * (f ** mult if mult >= 0 else f.invert() ** -mult)
+    assert V.rank() % 12 == 0
+    return val.shift(V.rank() // 12)
+
+
+@pytest.mark.parametrize("rvec, max_size", [((1, 0, 0, 1), 3), ((1, 1, 0, 0), 2)])
+def test_theta_matches_the_product_route_on_minus_the_vertex(rvec, max_size):
+    p = EvalPoint((Fraction(2, 3), Fraction(5, 7), Fraction(11, 2)), (Fraction(3, 5), 13))
+    for n in range(max_size + 1):
+        for config in enumerate_configurations(rvec, n):
+            V = -vertex(build_fixed_point(config))
+            for order in range(6):
+                assert theta_eval(V, p, order) == _theta_by_products(V, p, order)
+
+
+def test_theta_zero_and_pole_in_either_term_order():
+    # a1 = a2 makes [t1/t2] and [t2/t1] vanish, and with them their theta series
+    p = EvalPoint((3, 3, 5))
+    up = t_monomial(1) * t_monomial(2, -1)
+    t3 = t_monomial(3)
+    for terms in ({up: 1, t3: -1}, {t3: -1, up: 1}):
+        V = Character(terms)
+        for order in range(4):
+            zero = QSeries.zero(order)
+            assert theta_eval(V, p, order) == zero == _theta_by_products(V, p, order)
+    for terms in ({up: 1, up.inverse(): -1}, {up.inverse(): -1, up: 1}):
+        V = Character(terms)
+        for order in range(4):
+            with pytest.raises(PoleAtPointError):
+                theta_eval(V, p, order)
+            with pytest.raises(BadConstantTermError):
+                _theta_by_products(V, p, order)
+
+
+# integer weights only: the measures take square roots of their weights
+_integer_weights = st.builds(
+    lambda t, w: Monomial(tuple(2 * e for e in t), (2 * w,)),
+    st.tuples(*[st.integers(-2, 2)] * 4),
+    st.integers(-2, 2),
+)
+# rank-0 characters, so that the theta prefactor p^(rank/12) is an integer power
+_rank0_characters = st.lists(
+    st.tuples(_integer_weights, _integer_weights, st.sampled_from([-2, -1, 1, 2])), max_size=3
+).map(lambda pairs: sum(
+    (Character({a: c}) - Character({b: c}) for a, b, c in pairs), Character.zero()
+))
+
+
+# no nontrivial integer weight evaluates to 1 at these points: the bases'
+# prime exponents are independent, and the Chern roots are far apart in size
+def _generic_point():
+    return EvalPoint((Fraction(2, 3), Fraction(5, 7), Fraction(11, 2)), (Fraction(3, 5),))
+
+
+_MEASURES = [
+    (bracket_eval, _generic_point),
+    (euler_eval, lambda: CohPoint((1, 100, 10000), (1000000,))),
+    (lambda V, p: theta_eval(V, p, 3), _generic_point),
+]
+
+
+@given(_rank0_characters, _rank0_characters, st.sampled_from(range(len(_MEASURES))))
+def test_measures_are_multiplicative(A, B, which):
+    assume(A.fixed_part().is_zero() and B.fixed_part().is_zero())
+    measure, point = _MEASURES[which]
+    p = point()
+    assert measure(A + B, p) == measure(A, p) * measure(B, p)
+    # and from a fresh point, with nothing cached
+    assert measure(A + B, point()) == measure(A, p) * measure(B, p)
+
+
+@given(_rank0_characters, st.integers(0, 5), st.integers(0, 5))
+def test_theta_truncation_consistent(V, low, high):
+    assume(V.fixed_part().is_zero())
+    low, high = sorted((low, high))
+    p = _generic_point()
+    assert theta_eval(V, p, high).truncate(low) == theta_eval(V, p, low)

@@ -233,7 +233,8 @@ def test_localization_sum_order_independent():
 
 
 def test_characters_built_once_per_configuration(monkeypatch):
-    localization._minus_vertices.cache_clear()
+    localization._characters.cache_clear()
+    localization._sign_identities.cache_clear()
     built = Counter()
 
     def counting_build(config):
@@ -244,6 +245,8 @@ def test_characters_built_once_per_configuration(monkeypatch):
     rvec = (1, 1, 0, 0)
     assert verify_main(rvec, 3, 11, 5).passed
     assert check_framing_independence(rvec, 3, 11, 3).passed
+    # the sign rule reads the same fixed-point data and minus vertex
+    assert run_sign_sweep(rvec, 3, 11, 2).passed
     assert set(built) == {c for n in range(4) for c in enumerate_configurations(rvec, n)}
     assert max(built.values()) == 1
 
@@ -253,7 +256,7 @@ def test_Z_loc_K_same_from_warm_and_cleared_caches():
     sqrt_t3, sqrt_w = (Fraction(2, 3), Fraction(5, 7), Fraction(11, 2)), (Fraction(3, 5), 13)
     p = EvalPoint(sqrt_t3, sqrt_w)
     warm = [Z_loc_K(rvec, 3, p) for _ in range(2)]
-    localization._minus_vertices.cache_clear()
+    localization._characters.cache_clear()
     _char_P.cache_clear()
     cold = Z_loc_K(rvec, 3, EvalPoint(sqrt_t3, sqrt_w))
     assert warm[0] == warm[1] == cold

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from tetrainst import series
 from tetrainst.series import (
     BadConstantTermError,
     QPSeries,
@@ -138,6 +139,23 @@ def test_macmahon_power():
     assert macmahon_power(1, 6) == macmahon(6)
     assert macmahon_power(2, 5) == macmahon(5) ** 2
     assert macmahon_power(Fraction(1, 2), 5) ** 2 == macmahon(5)
+
+
+def test_macmahon_power_via_sigma2_matches_the_log_of_the_product(monkeypatch):
+    alphas = [1, 2, Fraction(1, 2), Fraction(-7, 3), Fraction(123456789, 987)]
+    want = {
+        (alpha, n): (Fraction(alpha) * macmahon(n).log()).exp()
+        for alpha in alphas
+        for n in range(9)
+    }
+
+    def forbidden(*args):
+        raise AssertionError("macmahon_power must not take the product route")
+
+    monkeypatch.setattr(series, "macmahon", forbidden)
+    monkeypatch.setattr(QSeries, "log", forbidden)
+    for (alpha, n), f in want.items():
+        assert macmahon_power(alpha, n) == f
 
 
 def test_macmahon_coefficients_are_positive_integers():
