@@ -13,9 +13,10 @@ from .algebra import (
     Character,
     CohPoint,
     EvalPoint,
-    Monomial,
     bracket_eval,
     euler_eval,
+    exponents,
+    monomial,
     theta_eval,
 )
 from .formulas import closed_Z_K, closed_Z_coh, factorized_Z, rank1_Z
@@ -29,7 +30,6 @@ __all__ = [
     "CohPoint",
     "Configuration",
     "EvalPoint",
-    "Monomial",
     "PlanePartition",
     "QPSeries",
     "QSeries",
@@ -42,7 +42,9 @@ __all__ = [
     "closed_Z_coh",
     "enumerate_configurations",
     "euler_eval",
+    "exponents",
     "factorized_Z",
+    "monomial",
     "rank1_Z",
     "sample_point",
     "theta_eval",

@@ -1,13 +1,17 @@
 """Exact arithmetic for torus weights, virtual characters and localization measures.
 
 Everything is built on top of ``fractions.Fraction``; no floating point is
-used anywhere.  A :class:`Monomial` is a Laurent monomial in the square roots
-of the equivariant parameters ``t1..t4`` (subject to ``t1*t2*t3*t4 == 1``) and
-of the framing parameters ``w_il``.  Exponents are stored *doubled*, so the
-exponent entry ``2*mu`` represents ``t**mu`` and half-integer powers remain in
-integer arithmetic.
+used anywhere.  A weight is a Laurent monomial in the square roots of the
+equivariant parameters ``t1..t4`` (subject to ``t1*t2*t3*t4 == 1``) and of the
+framing parameters ``w_il``, that is a point of the torus' character lattice.
+Exponents are stored *doubled*, so the entry ``2*mu`` represents ``t**mu`` and
+half-integer powers remain in integer arithmetic.  :func:`monomial` packs the
+lattice vector of a weight into one int (t4 eliminated, one signed field per
+remaining variable), so the product of two weights is the sum of their ints,
+the inverse is the negation, the trivial weight is ``0`` and an absent w-slot
+adds nothing.  Only this module knows the format; :func:`exponents` decodes it.
 
-A :class:`Character` is a finite Z-linear combination of monomials (a virtual
+A :class:`Character` is a finite Z-linear combination of weights (a virtual
 torus representation).  The three localization measures act on characters:
 
 * ``bracket_eval``  -- the K-theoretic measure ``[x] = x^(1/2) - x^(-1/2)``,
@@ -58,10 +62,6 @@ class VariableRegistry:
         self.wslots = tuple((i, l) for i in range(1, 5) for l in range(1, rvec[i - 1] + 1))
         self._slot_index = {pair: k for k, pair in enumerate(self.wslots)}
 
-    @property
-    def rank(self):
-        return len(self.wslots)
-
     def slot(self, i, l):
         return self._slot_index[(i, l)]
 
@@ -72,84 +72,66 @@ class VariableRegistry:
         return f"VariableRegistry(rvec={self.rvec})"
 
 
-class Monomial:
-    """A Laurent monomial ``prod t_i^(texp_i/2) * prod w_s^(wexp_s/2)``.
+FIELD_BITS = 32
+_HALF = 1 << (FIELD_BITS - 1)
+_MASK = (1 << FIELD_BITS) - 1
 
-    ``texp`` and ``wexp`` hold doubled exponents.  The relation
-    ``t1*t2*t3*t4 == 1`` lets any multiple of ``(1,1,1,1)`` be subtracted
-    from ``texp``; the constructor subtracts ``texp[3]``, so every instance is
-    in canonical form and equal weights compare and hash equal.  Products,
-    inverses and powers of canonical monomials are canonical already.
-    Monomials are dict keys and must not be mutated; the hash is taken once,
-    since every update of a character looks its monomial up twice.
+
+def monomial(texp, wexp=()):
+    """The weight ``prod t_i^(texp_i/2) * prod w_s^(wexp_s/2)``, packed in an int.
+
+    ``texp`` (four entries) and ``wexp`` hold doubled exponents.  The relation
+    ``t1*t2*t3*t4 == 1`` is applied by subtracting ``texp[3]``; the fields
+    ``t1, t2, t3, w_0, w_1, ...`` are then packed as signed ``FIELD_BITS``-bit
+    fields, ``m = sum e_k * 2**(FIELD_BITS*k)``.  The packing is linear, so
+    equal weights are equal ints and weights multiply by adding.
     """
-
-    __slots__ = ("texp", "wexp", "_hash")
-
-    def __init__(self, texp, wexp=()):
-        c = texp[3]
-        self.texp = texp = tuple(e - c for e in texp) if c else tuple(texp)
-        self.wexp = wexp = tuple(wexp)
-        self._hash = hash((texp, wexp))
-
-    def __eq__(self, other):
-        if other.__class__ is not Monomial:
-            return NotImplemented
-        return self.texp == other.texp and self.wexp == other.wexp
-
-    def __hash__(self):
-        return self._hash
-
-    def is_trivial(self):
-        return not any(self.texp) and not any(self.wexp)
-
-    def __mul__(self, other):
-        if len(self.wexp) != len(other.wexp):
-            raise ValueError("monomials over different registries")
-        return Monomial(
-            tuple(a + b for a, b in zip(self.texp, other.texp)),
-            tuple(a + b for a, b in zip(self.wexp, other.wexp)),
-        )
-
-    def inverse(self):
-        return Monomial(tuple(-e for e in self.texp), tuple(-e for e in self.wexp))
-
-    def __pow__(self, n):
-        return Monomial(tuple(n * e for e in self.texp), tuple(n * e for e in self.wexp))
-
-    def __repr__(self):
-        parts = []
-        for i, e in enumerate(self.texp):
-            if e:
-                parts.append(f"t{i+1}^({Fraction(e, 2)})")
-        for s, e in enumerate(self.wexp):
-            if e:
-                parts.append(f"w[{s}]^({Fraction(e, 2)})")
-        return "*".join(parts) if parts else "1"
+    c = texp[3]
+    m = 0
+    for e in reversed((texp[0] - c, texp[1] - c, texp[2] - c, *wexp)):
+        if not -_HALF <= e < _HALF:
+            raise OverflowError(f"doubled exponent {e} does not fit a {FIELD_BITS}-bit field")
+        m = (m << FIELD_BITS) + e
+    return m
 
 
-def t_monomial(i, power=1, nslots=0):
-    """The monomial ``t_i**power``."""
+def exponents(m):
+    """The doubled exponents packed in ``m``: t1, t2, t3 (t4 is eliminated),
+    then the w-slots, without trailing zeros."""
+    out = []
+    while m:
+        e = ((m + _HALF) & _MASK) - _HALF
+        out.append(e)
+        m = (m - e) >> FIELD_BITS
+    return tuple(out)
+
+
+def _weight_str(m):
+    """``m`` as a product of powers, e.g. ``t1^(1/2)*w[0]^(-1)``."""
+    parts = [
+        f"t{k + 1}^({Fraction(e, 2)})" if k < 3 else f"w[{k - 3}]^({Fraction(e, 2)})"
+        for k, e in enumerate(exponents(m))
+        if e
+    ]
+    return "*".join(parts) or "1"
+
+
+def t_monomial(i, power=1):
+    """The weight ``t_i**power``."""
     texp = [0, 0, 0, 0]
     texp[i - 1] = 2 * power
-    return Monomial(tuple(texp), (0,) * nslots)
+    return monomial(texp)
 
 
-def w_monomial(slot, power=1, nslots=1):
-    """The monomial ``w_slot**power`` over a registry with ``nslots`` w-slots."""
-    wexp = [0] * nslots
-    wexp[slot] = 2 * power
-    return Monomial((0, 0, 0, 0), tuple(wexp))
-
-
-def trivial_monomial(nslots=0):
-    return Monomial((0, 0, 0, 0), (0,) * nslots)
+def w_monomial(slot):
+    """The framing weight ``w_slot``."""
+    return monomial((0, 0, 0, 0), (0,) * slot + (2,))
 
 
 class Character:
-    """A finite integer-multiplicity multiset of monomials.
+    """A finite integer-multiplicity multiset of weights.
 
-    Stored as ``{canonical monomial: nonzero multiplicity}``; addition and
+    Stored as ``{packed weight: nonzero multiplicity}``; addition and
     subtraction cancel exactly.
     """
 
@@ -175,8 +157,8 @@ class Character:
         return cls()
 
     @classmethod
-    def one(cls, nslots=0):
-        return cls({trivial_monomial(nslots): 1})
+    def one(cls):
+        return cls({0: 1})
 
     @classmethod
     def of(cls, m, mult=1):
@@ -200,24 +182,18 @@ class Character:
     def __neg__(self):
         return Character({m: -mult for m, mult in self.terms.items()})
 
-    def scale(self, c):
-        return Character({m: c * mult for m, mult in self.terms.items()})
-
     def __mul__(self, other):
         out = Character()
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                out._add(m1 * m2, c1 * c2)
+                out._add(m1 + m2, c1 * c2)
         return out
 
     def dual(self):
-        return Character({m.inverse(): mult for m, mult in self.terms.items()})
+        return Character({-m: mult for m, mult in self.terms.items()})
 
     def fixed_part(self):
-        return Character({m: c for m, c in self.terms.items() if m.is_trivial()})
-
-    def movable_part(self):
-        return Character({m: c for m, c in self.terms.items() if not m.is_trivial()})
+        return Character({0: self.terms.get(0, 0)})
 
     def is_zero(self):
         return not self.terms
@@ -228,8 +204,11 @@ class Character:
     def __repr__(self):
         if not self.terms:
             return "Character(0)"
-        items = sorted(self.terms.items(), key=lambda kv: (kv[0].texp, kv[0].wexp))
-        return "Character(" + " + ".join(f"{c}*{m}" for m, c in items) + ")"
+        # in the order of the exponent vectors, padded to one length
+        fields = [exponents(m) for m in self.terms]
+        width = max(map(len, fields))
+        items = sorted(zip((f + (0,) * (width - len(f)) for f in fields), self.terms.items()))
+        return "Character(" + " + ".join(f"{c}*{_weight_str(m)}" for _, (m, c) in items) + ")"
 
 
 class EvalPoint:
@@ -297,30 +276,37 @@ class CohPoint:
         return f"CohPoint(s={self.s}, v={self.v})"
 
 
+def _paired(m, bases):
+    """The fields of ``m`` zipped with a point's bases for t1, t2, t3 and the
+    w-slots.  A weight with more fields than there are bases belongs to
+    another rank vector; truncating it would give a wrong value."""
+    fields = exponents(m)
+    if len(fields) > len(bases):
+        raise ValueError(f"weight {_weight_str(m)} has more slots than the point")
+    return zip(bases, fields)
+
+
 def eval_monomial(m, p):
     """Value of ``m`` at ``p``; half-integer powers evaluate exactly on the
     square-root bases."""
     val = Fraction(1)
-    for a, e in zip(p.sqrt_t, m.texp):
+    for a, e in _paired(m, p.sqrt_t[:3] + p.sqrt_w):
         if e:
             val *= a ** e
-    for b, e in zip(p.sqrt_w, m.wexp):
-        if e:
-            val *= b ** e
     return val
 
 
 def _sqrt(m):
     """``m**(1/2)`` for an integer weight ``m``: its doubled exponents are the
     exponents of ``m``.  A genuine half-integer power has no exact root."""
-    if any(e % 2 for e in m.texp) or any(e % 2 for e in m.wexp):
-        raise FractionalPowerError(f"{m!r} is not an integer weight")
-    return Monomial(tuple(e // 2 for e in m.texp), tuple(e // 2 for e in m.wexp))
+    if any(e % 2 for e in exponents(m)):
+        raise FractionalPowerError(f"{_weight_str(m)} is not an integer weight")
+    return m >> 1
 
 
 def bracket_monomial(m, p):
     """``[m] = m^(1/2) - m^(-1/2)`` evaluated at ``p``."""
-    if m.is_trivial():
+    if not m:
         raise TrivialWeightError("bracket of the trivial weight is undefined")
     s = eval_monomial(_sqrt(m), p)
     return s - 1 / s
@@ -342,7 +328,7 @@ def _product(V, p, weigh, what):
         for m, mult in V.terms.items():
             x = values.get(m)
             if x is None:
-                if m.is_trivial():
+                if not m:
                     raise TrivialWeightError("character has a nonzero fixed part")
                 x = values[m] = weigh(m, p)
             if not x:
@@ -357,7 +343,7 @@ def _product(V, p, weigh, what):
             raise TrivialWeightError("character has a nonzero fixed part") from None
         raise
     if pole is not None:
-        raise PoleAtPointError(f"{what} pole at {pole!r}")
+        raise PoleAtPointError(f"{what} pole at {_weight_str(pole)}")
     if zero:
         return Fraction(0)
     return val
@@ -374,12 +360,9 @@ def bracket_eval(V, p):
 
 def euler_monomial(m, p):
     """The equivariant first Chern class ``mu . s`` of an integer weight."""
-    r = _sqrt(m)
     val = Fraction(0)
-    for s, e in zip(p.s, r.texp):
+    for s, e in _paired(_sqrt(m), p.s[:3] + p.v):
         val += s * e
-    for v, e in zip(p.v, r.wexp):
-        val += v * e
     return val
 
 
@@ -396,7 +379,7 @@ def theta_monomial(m, p, order):
     constant term is ``bracket_monomial(m, p)``.  This is the product-form
     route that :func:`theta_eval`'s plethystic form is tested against.
     """
-    if m.is_trivial():
+    if not m:
         raise TrivialWeightError("theta measure of the trivial weight is undefined")
     y = eval_monomial(m, p)
     f = QSeries.constant(bracket_monomial(m, p), order)

@@ -17,14 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (
-    Character,
-    Monomial,
-    bracket_eval,
-    bracket_monomial,
-    eval_monomial,
-    t_monomial,
-)
+from .algebra import Character, bracket_eval, bracket_monomial, eval_monomial, monomial, t_monomial
 from .series import QSeries, macmahon_power, plethystic_exp
 
 
@@ -42,8 +35,8 @@ class RankVector:
         self.r = sum(self.rvec)
 
     def kappa_rbar(self):
-        """``kappa_rbar = prod_i t_i^(-r_i)`` as a canonical monomial."""
-        return Monomial(tuple(-2 * ri for ri in self.rvec))
+        """``kappa_rbar = prod_i t_i^(-r_i)`` as a packed weight."""
+        return monomial(tuple(-2 * ri for ri in self.rvec))
 
     def __repr__(self):
         return f"RankVector({self.rvec})"
@@ -53,7 +46,7 @@ def _prefactor_character():
     # [t1t2][t1t3][t2t3] / ([t1][t2][t3][t4]) as a virtual character
     terms = {}
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        m = t_monomial(i) * t_monomial(j)
+        m = t_monomial(i) + t_monomial(j)
         terms[m] = terms.get(m, 0) + 1
     for i in range(1, 5):
         m = t_monomial(i)
@@ -72,7 +65,7 @@ def closed_Z_K(rvec, order, p):
     """
     rv = RankVector(rvec)
     kap = rv.kappa_rbar()
-    if kap.is_trivial():
+    if not kap:
         return QSeries.one(order)
 
     def body(n):
@@ -80,7 +73,7 @@ def closed_Z_K(rvec, order, p):
         a_val = bracket_eval(_A_CHAR, pn)
         coeffs = [Fraction(0)]
         for m in range(1, order + 1):
-            coeffs.append(a_val * bracket_monomial(kap ** m, pn))
+            coeffs.append(a_val * bracket_monomial(m * kap, pn))
         return QSeries(coeffs)
 
     g = plethystic_exp(body, order)
@@ -104,7 +97,7 @@ def factorization_scale(rvec, i, l):
     texp[i - 1] += -(-(rv.rvec[i - 1]) - 1 + 2 * l)  # kappa_i = t_i^(-1), doubled
     for j in range(1, 5):
         texp[j - 1] += rv.rvec[j - 1] * sgn(i - j) * (-1)
-    return Monomial(tuple(texp))
+    return monomial(texp)
 
 
 def factorized_Z(rvec, order, p):
@@ -143,7 +136,7 @@ def rank1_relation_residual(p):
         for j in range(1, i):
             texp[j - 1] -= 2
         texp[i - 1] -= 1
-        coeff = eval_monomial(Monomial(tuple(texp)), p)
+        coeff = eval_monomial(monomial(texp), p)
         total += coeff * rank1_Z(i, 1, p).coefficient(1)
     return total
 

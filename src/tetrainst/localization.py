@@ -132,22 +132,13 @@ def sample_until(fn, seed, rvec, mode="k", max_tries=SAMPLER_MAX_TRIES):
 # localization sums
 
 
-# One shared instance of every weight in the cached characters below: the
-# same few hundred weights recur across thousands of terms.
-_WEIGHTS = {}
-
-
-def _interned(V):
-    return Character({_WEIGHTS.setdefault(m, m): mult for m, mult in V.terms.items()})
-
-
 @lru_cache(maxsize=None)
 def _characters(config):
     """The fixed-point data of ``config`` and minus its vertex; built once per
     process, since neither depends on the point.  The localization sums and
     the sign rule both read it."""
     fp = build_fixed_point(config)
-    return fp, _interned(-vertex(fp))
+    return fp, -vertex(fp)
 
 
 def _localization_sum(rvec, order, measure, zero):
@@ -247,20 +238,19 @@ def _sign_identities(config):
     of the sign rule, in checking order; built once per process, since the
     characters do not depend on the point."""
     fp, minus_v = _characters(config)
-    ns = fp.registry.rank
     vt = tilde_vertex(fp)
     extra = Character.zero()
     for i in range(1, 5):
-        ti = Character.of(t_monomial(i, nslots=ns))
+        ti = Character.of(t_monomial(i))
         extra = extra + fp.K_leg[i - 1] * ti * fp.Q.dual()
     sign = -1 if configuration_sign(config) else 1
     out = [(sign, extra - vt, minus_v)]
 
-    P123d = char_P({1, 2, 3}, ns).dual()
+    P123d = char_P({1, 2, 3}).dual()
     for (i, l), pp in config.slots():
         Z = fp.Z[(i, l)]
         lhs_char = Z - P123d * Z * Z.dual()
-        rhs_char = Z - char_P(other_indices(i), ns).dual() * Z * Z.dual()
+        rhs_char = Z - char_P(other_indices(i)).dual() * Z * Z.dual()
         s = -1 if sign_rho(embed_to_solid(pp, i)) else 1
         out.append((s, lhs_char, rhs_char))
 
@@ -271,7 +261,7 @@ def _sign_identities(config):
             lhs_char = _half_block(fp, i, l, j, k, pleg=4) + _half_block(fp, j, k, i, l, pleg=4)
             rhs_char = vertex_block(fp, i, l, j, k)
             out.append((1, lhs_char, rhs_char))
-    return tuple((s, _interned(lhs), _interned(rhs)) for s, lhs, rhs in out)
+    return tuple(out)
 
 
 def check_rho_tilde_vanishes(max_size):

@@ -123,7 +123,11 @@ class QSeries:
         return QSeries(out)
 
     def log(self):
-        """log of a series with constant term 1."""
+        """log of a series with constant term 1.
+
+        No code in the package calls it: it is the reference route the tests
+        take the log of the MacMahon product with, to check ``macmahon_power``.
+        """
         if self.coeffs[0] != 1:
             raise BadConstantTermError("log needs constant term 1")
         out = [Fraction(0)] * (self.order + 1)

@@ -12,15 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import (
-    Character,
-    Monomial,
-    NotMovableError,
-    VariableRegistry,
-    t_monomial,
-    trivial_monomial,
-    w_monomial,
-)
+from .algebra import Character, NotMovableError, VariableRegistry, monomial, t_monomial, w_monomial
 
 
 def other_indices(i):
@@ -28,20 +20,20 @@ def other_indices(i):
     return tuple(k for k in range(1, 5) if k != i)
 
 
-def char_P(index_set, nslots=0):
+def char_P(index_set):
     """``P_I = prod_{l in I} (1 - t_l)`` expanded as a character.
 
-    Built once per process for each index set and registry size; callers
-    share the result and must not mutate it.
+    Built once per process for each index set; callers share the result and
+    must not mutate it.
     """
-    return _char_P(tuple(sorted(index_set)), nslots)
+    return _char_P(tuple(sorted(index_set)))
 
 
 @lru_cache(maxsize=None)
-def _char_P(indices, nslots):
-    out = Character.one(nslots)
+def _char_P(indices):
+    out = Character.one()
     for l in indices:
-        factor = Character({trivial_monomial(nslots): 1, t_monomial(l, nslots=nslots): -1})
+        factor = Character.one() - Character.of(t_monomial(l))
         out = out * factor
     return out
 
@@ -59,7 +51,7 @@ class FixedPointData:
     K: Character
 
 
-def partition_character(pp, i, nslots=0):
+def partition_character(pp, i):
     """``Z = sum_{(a,b,c) in pi} t_{i1}^a t_{i2}^b t_{i3}^c`` for leg ``i``."""
     i1, i2, i3 = other_indices(i)
     out = Character.zero()
@@ -68,13 +60,12 @@ def partition_character(pp, i, nslots=0):
         texp[i1 - 1] = 2 * a
         texp[i2 - 1] = 2 * b
         texp[i3 - 1] = 2 * c
-        out = out + Character.of(Monomial(tuple(texp), (0,) * nslots))
+        out = out + Character.of(monomial(texp))
     return out
 
 
 def build_fixed_point(config):
     reg = VariableRegistry(config.rvec)
-    ns = reg.rank
     Z = {}
     Q_leg = []
     K_leg = []
@@ -83,9 +74,9 @@ def build_fixed_point(config):
         Ki = Character.zero()
         for l in range(1, config.rvec[i - 1] + 1):
             pp = config.legs[i - 1][l - 1]
-            Zil = partition_character(pp, i, ns)
+            Zil = partition_character(pp, i)
             Z[(i, l)] = Zil
-            w = Character.of(w_monomial(reg.slot(i, l), nslots=ns))
+            w = Character.of(w_monomial(reg.slot(i, l)))
             Qi = Qi + w * Zil
             Ki = Ki + w
         Q_leg.append(Qi)
@@ -97,12 +88,11 @@ def build_fixed_point(config):
 
 def virtual_tangent(fp):
     """Virtual tangent character at the fixed point (rank zero)."""
-    ns = fp.registry.rank
     Q, Qd = fp.Q, fp.Q.dual()
-    T = fp.K.dual() * Q + fp.K * Qd - char_P({1, 2, 3, 4}, ns) * Q * Qd
+    T = fp.K.dual() * Q + fp.K * Qd - char_P({1, 2, 3, 4}) * Q * Qd
     for i in range(1, 5):
-        ti = Character.of(t_monomial(i, nslots=ns))
-        ti_inv = Character.of(t_monomial(i, -1, nslots=ns))
+        ti = Character.of(t_monomial(i))
+        ti_inv = Character.of(t_monomial(i, -1))
         T = T - fp.K_leg[i - 1] * ti * Qd
         T = T - fp.K_leg[i - 1].dual() * ti_inv * Q
     return T
@@ -110,28 +100,26 @@ def virtual_tangent(fp):
 
 def ambient_tangent(fp):
     """Tangent character of the smooth ambient moduli space."""
-    ns = fp.registry.rank
     Q, Qd = fp.Q, fp.Q.dual()
     c4 = Character.zero()
     for i in range(1, 5):
-        c4 = c4 + Character.of(t_monomial(i, -1, nslots=ns))
-    c4 = c4 - Character.one(ns)
+        c4 = c4 + Character.of(t_monomial(i, -1))
+    c4 = c4 - Character.one()
     return c4 * Q * Qd + fp.K.dual() * Q
 
 
 def obstruction_fiber(fp):
     """Fiber character of the orthogonal bundle cutting out the moduli space."""
-    ns = fp.registry.rank
     Q, Qd = fp.Q, fp.Q.dual()
     lam2 = Character.zero()
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            m = t_monomial(i, -1, nslots=ns) * t_monomial(j, -1, nslots=ns)
+            m = t_monomial(i, -1) + t_monomial(j, -1)
             lam2 = lam2 + Character.of(m)
     L = lam2 * Q * Qd
     for i in range(1, 5):
-        ti = Character.of(t_monomial(i, nslots=ns))
-        ti_inv = Character.of(t_monomial(i, -1, nslots=ns))
+        ti = Character.of(t_monomial(i))
+        ti_inv = Character.of(t_monomial(i, -1))
         L = L + fp.K_leg[i - 1] * ti * Qd
         L = L + fp.K_leg[i - 1].dual() * ti_inv * Q
     return L
@@ -149,18 +137,17 @@ def vertex(fp):
     ``v + dual(v) == virtual_tangent(fp)`` and ``v`` has empty fixed part;
     a nonzero fixed part signals an internal bug and raises.
     """
-    ns = fp.registry.rank
     Q, Qd = fp.Q, fp.Q.dual()
     v = fp.K.dual() * Q
     for j in range(1, 5):
-        tj = Character.of(t_monomial(j, nslots=ns))
+        tj = Character.of(t_monomial(j))
         v = v - fp.K_leg[j - 1] * tj * Qd
     for j in range(1, 5):
-        Pbar = char_P(other_indices(j), ns).dual()
+        Pbar = char_P(other_indices(j)).dual()
         v = v - Pbar * fp.Q_leg[j - 1] * fp.Q_leg[j - 1].dual()
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            Pbar = char_P(other_indices(j), ns).dual()
+            Pbar = char_P(other_indices(j)).dual()
             cross = fp.Q_leg[j - 1] * fp.Q_leg[i - 1].dual() + fp.Q_leg[i - 1] * fp.Q_leg[j - 1].dual()
             v = v - Pbar * cross
     if not v.fixed_part().is_zero():
@@ -173,16 +160,13 @@ def _half_block(fp, i, l, j, k, pleg=None):
     # where the P-factor is indexed by pleg (default j); for a mixed-leg pair
     # both orientations share the P-factor of the larger leg.
     reg = fp.registry
-    ns = reg.rank
     if pleg is None:
         pleg = j
-    wfac = Character.of(
-        w_monomial(reg.slot(i, l), -1, ns) * w_monomial(reg.slot(j, k), 1, ns)
-    )
+    wfac = Character.of(w_monomial(reg.slot(j, k)) - w_monomial(reg.slot(i, l)))
     Zjk = fp.Z[(j, k)]
     Zil_d = fp.Z[(i, l)].dual()
-    kappa_inv = Character.of(t_monomial(j, nslots=ns))  # kappa_j^(-1) = t_j
-    Pbar = char_P(other_indices(pleg), ns).dual()
+    kappa_inv = Character.of(t_monomial(j))  # kappa_j^(-1) = t_j
+    Pbar = char_P(other_indices(pleg)).dual()
     return wfac * (Zjk - kappa_inv * Zil_d - Pbar * Zjk * Zil_d)
 
 
@@ -214,9 +198,8 @@ def vertex_from_blocks(fp):
 
 def tilde_vertex(fp):
     """Rank-agnostic square-root variant ``Kbar*Q - Pbar_{123}*Q*Qbar``."""
-    ns = fp.registry.rank
     Q, Qd = fp.Q, fp.Q.dual()
-    v = fp.K.dual() * Q - char_P({1, 2, 3}, ns).dual() * Q * Qd
+    v = fp.K.dual() * Q - char_P({1, 2, 3}).dual() * Q * Qd
     if not v.fixed_part().is_zero():
         raise NotMovableError("tilde vertex has a nonzero fixed part")
     return v

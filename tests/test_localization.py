@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tetrainst import localization
 from tetrainst.algebra import CohPoint, EvalPoint, SamplerExhaustedError
@@ -124,6 +125,34 @@ def test_Z_loc_ell_framing_dependence_observed():
     (a, b), _, _ = sample_until(run, 19, (0, 0, 0, 2))
     assert a.p_slice(0) == b.p_slice(0)
     assert a.p_slice(1) != b.p_slice(1)
+
+
+_orders = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([(0, 0, 0, 1), (1, 0, 0, 0), (0, 2, 0, 0), (1, 1, 0, 0), (1, 0, 0, 1)]),
+    _orders,
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).map(sorted),
+    st.integers(0, 1000),
+)
+def test_localization_series_truncation_consistent(rvec, orders, p_orders, seed):
+    low, high = orders
+    p_low, p_high = p_orders
+
+    def k_and_ell(p):
+        return (
+            Z_loc_K(rvec, high, p).truncate(low) == Z_loc_K(rvec, low, p),
+            [row.truncate(p_low) for row in Z_loc_ell(rvec, high, p_high, p).rows[: low + 1]]
+            == list(Z_loc_ell(rvec, low, p_low, p).rows),
+        )
+
+    def coh(p):
+        return Z_loc_coh(rvec, high, p).truncate(low) == Z_loc_coh(rvec, low, p)
+
+    assert sample_until(k_and_ell, seed, rvec)[0] == (True, True)
+    assert sample_until(coh, seed, rvec, "coh")[0]
 
 
 def test_check_sign_identity_empty():
