@@ -47,31 +47,6 @@ class SamplerExhaustedError(RuntimeError):
     """The pole-avoiding sampler hit its retry cap."""
 
 
-class VariableRegistry:
-    """Bookkeeping for the variable slots of a fixed rank vector.
-
-    There are always four t-slots; the w-slots are the pairs ``(i, l)`` for
-    ``i = 1..4`` and ``l = 1..rvec[i-1]``, in lexicographic order.
-    """
-
-    def __init__(self, rvec):
-        rvec = tuple(int(x) for x in rvec)
-        if len(rvec) != 4 or any(x < 0 for x in rvec):
-            raise ValueError(f"rank vector must be 4 nonnegative integers, got {rvec}")
-        self.rvec = rvec
-        self.wslots = tuple((i, l) for i in range(1, 5) for l in range(1, rvec[i - 1] + 1))
-        self._slot_index = {pair: k for k, pair in enumerate(self.wslots)}
-
-    def slot(self, i, l):
-        return self._slot_index[(i, l)]
-
-    def __eq__(self, other):
-        return isinstance(other, VariableRegistry) and self.rvec == other.rvec
-
-    def __repr__(self):
-        return f"VariableRegistry(rvec={self.rvec})"
-
-
 FIELD_BITS = 32
 _HALF = 1 << (FIELD_BITS - 1)
 _MASK = (1 << FIELD_BITS) - 1
@@ -235,18 +210,10 @@ class EvalPoint:
 
     def powered(self, n):
         """The point with every base raised to the n-th power (plethysm)."""
-        p = EvalPoint.__new__(EvalPoint)
-        p.sqrt_t = tuple(a ** n for a in self.sqrt_t)
-        p.sqrt_w = tuple(b ** n for b in self.sqrt_w)
-        p.values = {}
-        return p
+        return EvalPoint([a ** n for a in self.sqrt_t[:3]], [b ** n for b in self.sqrt_w])
 
     def with_sqrt_w(self, sqrt_w):
-        p = EvalPoint.__new__(EvalPoint)
-        p.sqrt_t = self.sqrt_t
-        p.sqrt_w = tuple(Fraction(b) for b in sqrt_w)
-        p.values = {}
-        return p
+        return EvalPoint(self.sqrt_t[:3], sqrt_w)
 
     def __repr__(self):
         return f"EvalPoint(sqrt_t={self.sqrt_t}, sqrt_w={self.sqrt_w})"
@@ -266,11 +233,7 @@ class CohPoint:
         self.values = {}
 
     def with_v(self, v):
-        p = CohPoint.__new__(CohPoint)
-        p.s = self.s
-        p.v = tuple(Fraction(x) for x in v)
-        p.values = {}
-        return p
+        return CohPoint(self.s[:3], v)
 
     def __repr__(self):
         return f"CohPoint(s={self.s}, v={self.v})"

@@ -28,6 +28,7 @@ from .localization import (
     sample_series,
     verify_main,
 )
+from .partitions import rank_vector
 
 SCHEMA = "tetrainst-report/1"
 
@@ -38,12 +39,9 @@ EXIT_INTERNAL = 4
 
 def _parse_rvec(text):
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        return rank_vector(text.split(","))
     except ValueError:
-        raise click.UsageError(f"rvec must be comma-separated integers, got {text!r}")
-    if len(parts) != 4 or any(x < 0 for x in parts):
-        raise click.UsageError("rvec needs exactly 4 nonnegative integers")
-    return parts
+        raise click.UsageError(f"rvec must be 4 comma-separated nonnegative integers, got {text!r}") from None
 
 
 def _point_doc(point):

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Character, bracket_eval, bracket_monomial, eval_monomial, monomial, t_monomial
+from .partitions import rank_vector
 from .series import QSeries, macmahon_power, plethystic_exp
 
 
@@ -25,21 +26,9 @@ def sgn(x):
     return (x > 0) - (x < 0)
 
 
-class RankVector:
-    """A rank vector r = (r1..r4) and its distinguished weight monomials."""
-
-    def __init__(self, rvec):
-        self.rvec = tuple(int(x) for x in rvec)
-        if len(self.rvec) != 4 or any(x < 0 for x in self.rvec):
-            raise ValueError(f"rank vector must be 4 nonnegative integers, got {rvec}")
-        self.r = sum(self.rvec)
-
-    def kappa_rbar(self):
-        """``kappa_rbar = prod_i t_i^(-r_i)`` as a packed weight."""
-        return monomial(tuple(-2 * ri for ri in self.rvec))
-
-    def __repr__(self):
-        return f"RankVector({self.rvec})"
+def kappa_rbar(rvec):
+    """``kappa_rbar = prod_i t_i^(-r_i)`` as a packed weight."""
+    return monomial(tuple(-2 * ri for ri in rank_vector(rvec)))
 
 
 def _prefactor_character():
@@ -63,8 +52,8 @@ def closed_Z_K(rvec, order, p):
     When ``kappa_rbar`` is symbolically trivial (all r_i equal) the series
     is the constant 1: this is the vanishing statement.
     """
-    rv = RankVector(rvec)
-    kap = rv.kappa_rbar()
+    rvec = rank_vector(rvec)
+    kap = kappa_rbar(rvec)
     if not kap:
         return QSeries.one(order)
 
@@ -77,7 +66,7 @@ def closed_Z_K(rvec, order, p):
         return QSeries(coeffs)
 
     g = plethystic_exp(body, order)
-    return g.q_scale(sign=(-1) ** rv.r)
+    return g.q_scale(sign=(-1) ** sum(rvec))
 
 
 def rank1_Z(i, order, p):
@@ -92,21 +81,21 @@ def factorization_scale(rvec, i, l):
     The doubled-exponent storage keeps the genuine half powers exact:
     the monomial is ``kappa_i^((-r_i-1)/2 + l) * prod_j kappa_j^(r_j*sgn(i-j)/2)``.
     """
-    rv = RankVector(rvec)
+    rvec = rank_vector(rvec)
     texp = [0, 0, 0, 0]
-    texp[i - 1] += -(-(rv.rvec[i - 1]) - 1 + 2 * l)  # kappa_i = t_i^(-1), doubled
+    texp[i - 1] += -(-(rvec[i - 1]) - 1 + 2 * l)  # kappa_i = t_i^(-1), doubled
     for j in range(1, 5):
-        texp[j - 1] += rv.rvec[j - 1] * sgn(i - j) * (-1)
+        texp[j - 1] += rvec[j - 1] * sgn(i - j) * (-1)
     return monomial(texp)
 
 
 def factorized_Z(rvec, order, p):
     """Product of q-rescaled rank-1 series, one factor per framing slot."""
-    rv = RankVector(rvec)
-    sign = (-1) ** (rv.r + 1)
+    rvec = rank_vector(rvec)
+    sign = (-1) ** (sum(rvec) + 1)
     out = QSeries.one(order)
     for i in range(1, 5):
-        for l in range(1, rv.rvec[i - 1] + 1):
+        for l in range(1, rvec[i - 1] + 1):
             c = eval_monomial(factorization_scale(rvec, i, l), p)
             out = out * rank1_Z(i, order, p).q_scale(c, sign)
     return out
@@ -114,13 +103,13 @@ def factorized_Z(rvec, order, p):
 
 def closed_Z_coh(rvec, order, p):
     """Cohomological closed form: a rational power of the MacMahon series."""
-    rv = RankVector(rvec)
+    rvec = rank_vector(rvec)
     s1, s2, s3, s4 = p.s
     if s1 * s2 * s3 * s4 == 0:
         raise ZeroDivisionError("Chern roots must have nonzero product")
-    rs = sum(ri * si for ri, si in zip(rv.rvec, p.s))
+    rs = sum(ri * si for ri, si in zip(rvec, p.s))
     alpha = -(s1 + s2) * (s1 + s3) * (s2 + s3) * rs / (s1 * s2 * s3 * s4)
-    return macmahon_power(alpha, order).q_scale(sign=(-1) ** rv.r)
+    return macmahon_power(alpha, order).q_scale(sign=(-1) ** sum(rvec))
 
 
 def rank1_relation_residual(p):

@@ -239,10 +239,11 @@ def _sign_identities(config):
     characters do not depend on the point."""
     fp, minus_v = _characters(config)
     vt = tilde_vertex(fp)
+    Qd, K_leg = fp.Q.dual(), fp.K_leg
     extra = Character.zero()
     for i in range(1, 5):
         ti = Character.of(t_monomial(i))
-        extra = extra + fp.K_leg[i - 1] * ti * fp.Q.dual()
+        extra = extra + K_leg[i - 1] * ti * Qd
     sign = -1 if configuration_sign(config) else 1
     out = [(sign, extra - vt, minus_v)]
 
@@ -254,7 +255,7 @@ def _sign_identities(config):
         s = -1 if sign_rho(embed_to_solid(pp, i)) else 1
         out.append((s, lhs_char, rhs_char))
 
-    slots = list(fp.registry.wslots)
+    slots = list(fp.Z)
     for a, (i, l) in enumerate(slots):
         for (j, k) in slots[a + 1 :]:
             # the generic block takes both P-factors from leg 4 (Pbar_123)

@@ -53,6 +53,14 @@ class SolidPartition(OrderIdeal):
     """An order ideal in Z^4_{>=0}."""
 
 
+def rank_vector(rvec):
+    """``rvec`` as a tuple of four nonnegative ints; raises ``ValueError`` otherwise."""
+    rv = tuple(map(int, rvec))
+    if len(rv) != 4 or min(rv) < 0:
+        raise ValueError(f"rank vector must be 4 nonnegative integers, got {rvec!r}")
+    return rv
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A tuple of tuples of plane partitions labeling a torus-fixed point."""
@@ -61,15 +69,20 @@ class Configuration:
     legs: tuple  # legs[i-1] is an rvec[i-1]-tuple of PlanePartition
 
     def __post_init__(self):
-        if len(self.legs) != 4 or any(len(t) != r for t, r in zip(self.legs, self.rvec)):
+        rvec = rank_vector(self.rvec)
+        if len(self.legs) != 4 or any(len(t) != r for t, r in zip(self.legs, rvec)):
             raise ValueError("leg tuples must match the rank vector")
+        object.__setattr__(self, "rvec", rvec)
 
     @property
     def size(self):
         return sum(p.size for leg in self.legs for p in leg)
 
     def slots(self):
-        """Pairs ``((i, l), partition)`` in lexicographic slot order."""
+        """Pairs ``((i, l), partition)`` in lexicographic slot order.
+
+        This order numbers the framing weights: the k-th slot gets ``w_k``.
+        """
         for i, leg in enumerate(self.legs, start=1):
             for l, p in enumerate(leg, start=1):
                 yield (i, l), p
@@ -133,7 +146,7 @@ def _compositions(n, parts):
 
 def enumerate_configurations(rvec, n):
     """All configurations with the given rank vector and total size ``n``."""
-    rvec = tuple(int(x) for x in rvec)
+    rvec = rank_vector(rvec)
     r = sum(rvec)
     configs = []
     for comp in _compositions(n, r):

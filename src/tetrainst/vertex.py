@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Character, NotMovableError, VariableRegistry, monomial, t_monomial, w_monomial
+from .algebra import Character, NotMovableError, monomial, t_monomial, w_monomial
 
 
 def other_indices(i):
@@ -40,67 +40,82 @@ def _char_P(indices):
 
 @dataclass
 class FixedPointData:
-    """All characters attached to one fixed point."""
+    """One fixed point as its slot data.
 
-    config: object
-    registry: VariableRegistry
-    Z: dict  # (i, l) -> Character in the t-variables only
-    Q_leg: tuple  # Q_i per leg, length 4
-    Q: Character
-    K_leg: tuple  # K_i per leg
-    K: Character
+    ``Z`` and ``w`` are keyed by the framing slots ``(i, l)`` in the order of
+    ``Configuration.slots()``: ``Z`` holds each slot's partition character (in
+    the t-variables only) and ``w`` its framing weight, ``w_k`` for the k-th
+    slot.  Q, K and their per-leg parts are sums of these, derived on read.
+    """
+
+    Z: dict  # (i, l) -> Character
+    w: dict  # (i, l) -> packed weight
+
+    def _Q(self, legs):
+        # the slots' weights differ, so no two slots share a term
+        return Character(
+            {w + m: c for (i, l), w in self.w.items() if i in legs for m, c in self.Z[(i, l)].terms.items()}
+        )
+
+    @property
+    def Q(self):
+        """``Q = sum_il w_il * Z_il``."""
+        return self._Q(range(1, 5))
+
+    @property
+    def Q_leg(self):
+        """``Q_i = sum_l w_il * Z_il`` for ``i = 1..4``."""
+        return tuple(self._Q((i,)) for i in range(1, 5))
+
+    @property
+    def K(self):
+        """``K = sum_il w_il``."""
+        return Character(dict.fromkeys(self.w.values(), 1))
+
+    @property
+    def K_leg(self):
+        """``K_i = sum_l w_il`` for ``i = 1..4``."""
+        return tuple(Character({w: 1 for (j, _), w in self.w.items() if j == i}) for i in range(1, 5))
 
 
 def partition_character(pp, i):
     """``Z = sum_{(a,b,c) in pi} t_{i1}^a t_{i2}^b t_{i3}^c`` for leg ``i``."""
     i1, i2, i3 = other_indices(i)
-    out = Character.zero()
+    terms = {}
     for (a, b, c) in pp:
         texp = [0, 0, 0, 0]
         texp[i1 - 1] = 2 * a
         texp[i2 - 1] = 2 * b
         texp[i3 - 1] = 2 * c
-        out = out + Character.of(monomial(texp))
-    return out
+        terms[monomial(texp)] = 1  # distinct boxes are distinct weights
+    return Character(terms)
 
 
 def build_fixed_point(config):
-    reg = VariableRegistry(config.rvec)
-    Z = {}
-    Q_leg = []
-    K_leg = []
-    for i in range(1, 5):
-        Qi = Character.zero()
-        Ki = Character.zero()
-        for l in range(1, config.rvec[i - 1] + 1):
-            pp = config.legs[i - 1][l - 1]
-            Zil = partition_character(pp, i)
-            Z[(i, l)] = Zil
-            w = Character.of(w_monomial(reg.slot(i, l)))
-            Qi = Qi + w * Zil
-            Ki = Ki + w
-        Q_leg.append(Qi)
-        K_leg.append(Ki)
-    Q = Q_leg[0] + Q_leg[1] + Q_leg[2] + Q_leg[3]
-    K = K_leg[0] + K_leg[1] + K_leg[2] + K_leg[3]
-    return FixedPointData(config, reg, Z, tuple(Q_leg), Q, tuple(K_leg), K)
+    Z, w = {}, {}
+    for k, ((i, l), pp) in enumerate(config.slots()):
+        Z[(i, l)] = partition_character(pp, i)
+        w[(i, l)] = w_monomial(k)
+    return FixedPointData(Z, w)
 
 
 def virtual_tangent(fp):
     """Virtual tangent character at the fixed point (rank zero)."""
-    Q, Qd = fp.Q, fp.Q.dual()
-    T = fp.K.dual() * Q + fp.K * Qd - char_P({1, 2, 3, 4}) * Q * Qd
+    Q, K, K_leg = fp.Q, fp.K, fp.K_leg
+    Qd = Q.dual()
+    T = K.dual() * Q + K * Qd - char_P({1, 2, 3, 4}) * Q * Qd
     for i in range(1, 5):
         ti = Character.of(t_monomial(i))
         ti_inv = Character.of(t_monomial(i, -1))
-        T = T - fp.K_leg[i - 1] * ti * Qd
-        T = T - fp.K_leg[i - 1].dual() * ti_inv * Q
+        T = T - K_leg[i - 1] * ti * Qd
+        T = T - K_leg[i - 1].dual() * ti_inv * Q
     return T
 
 
 def ambient_tangent(fp):
     """Tangent character of the smooth ambient moduli space."""
-    Q, Qd = fp.Q, fp.Q.dual()
+    Q = fp.Q
+    Qd = Q.dual()
     c4 = Character.zero()
     for i in range(1, 5):
         c4 = c4 + Character.of(t_monomial(i, -1))
@@ -110,7 +125,8 @@ def ambient_tangent(fp):
 
 def obstruction_fiber(fp):
     """Fiber character of the orthogonal bundle cutting out the moduli space."""
-    Q, Qd = fp.Q, fp.Q.dual()
+    Q, K_leg = fp.Q, fp.K_leg
+    Qd = Q.dual()
     lam2 = Character.zero()
     for i in range(1, 5):
         for j in range(i + 1, 5):
@@ -120,8 +136,8 @@ def obstruction_fiber(fp):
     for i in range(1, 5):
         ti = Character.of(t_monomial(i))
         ti_inv = Character.of(t_monomial(i, -1))
-        L = L + fp.K_leg[i - 1] * ti * Qd
-        L = L + fp.K_leg[i - 1].dual() * ti_inv * Q
+        L = L + K_leg[i - 1] * ti * Qd
+        L = L + K_leg[i - 1].dual() * ti_inv * Q
     return L
 
 
@@ -137,18 +153,19 @@ def vertex(fp):
     ``v + dual(v) == virtual_tangent(fp)`` and ``v`` has empty fixed part;
     a nonzero fixed part signals an internal bug and raises.
     """
-    Q, Qd = fp.Q, fp.Q.dual()
-    v = fp.K.dual() * Q
+    Q, K, Q_leg, K_leg = fp.Q, fp.K, fp.Q_leg, fp.K_leg
+    Qd = Q.dual()
+    v = K.dual() * Q
     for j in range(1, 5):
         tj = Character.of(t_monomial(j))
-        v = v - fp.K_leg[j - 1] * tj * Qd
+        v = v - K_leg[j - 1] * tj * Qd
     for j in range(1, 5):
         Pbar = char_P(other_indices(j)).dual()
-        v = v - Pbar * fp.Q_leg[j - 1] * fp.Q_leg[j - 1].dual()
+        v = v - Pbar * Q_leg[j - 1] * Q_leg[j - 1].dual()
     for i in range(1, 5):
         for j in range(i + 1, 5):
             Pbar = char_P(other_indices(j)).dual()
-            cross = fp.Q_leg[j - 1] * fp.Q_leg[i - 1].dual() + fp.Q_leg[i - 1] * fp.Q_leg[j - 1].dual()
+            cross = Q_leg[j - 1] * Q_leg[i - 1].dual() + Q_leg[i - 1] * Q_leg[j - 1].dual()
             v = v - Pbar * cross
     if not v.fixed_part().is_zero():
         raise NotMovableError("vertex term has a nonzero fixed part")
@@ -159,10 +176,9 @@ def _half_block(fp, i, l, j, k, pleg=None):
     # w_il^(-1) w_jk (Z_jk - kappa_j^(-1) Zbar_il - Pbar_{p1p2p3} Z_jk Zbar_il)
     # where the P-factor is indexed by pleg (default j); for a mixed-leg pair
     # both orientations share the P-factor of the larger leg.
-    reg = fp.registry
     if pleg is None:
         pleg = j
-    wfac = Character.of(w_monomial(reg.slot(j, k)) - w_monomial(reg.slot(i, l)))
+    wfac = Character.of(fp.w[(j, k)] - fp.w[(i, l)])
     Zjk = fp.Z[(j, k)]
     Zil_d = fp.Z[(i, l)].dual()
     kappa_inv = Character.of(t_monomial(j))  # kappa_j^(-1) = t_j
@@ -189,7 +205,7 @@ def vertex_block(fp, i, l, j, k):
 def vertex_from_blocks(fp):
     """Reassemble the vertex term from its blocks (decomposition identity)."""
     out = Character.zero()
-    slots = list(fp.registry.wslots)
+    slots = list(fp.Z)
     for a, (i, l) in enumerate(slots):
         for (j, k) in slots[a:]:
             out = out + vertex_block(fp, i, l, j, k)
@@ -198,8 +214,8 @@ def vertex_from_blocks(fp):
 
 def tilde_vertex(fp):
     """Rank-agnostic square-root variant ``Kbar*Q - Pbar_{123}*Q*Qbar``."""
-    Q, Qd = fp.Q, fp.Q.dual()
-    v = fp.K.dual() * Q - char_P({1, 2, 3}).dual() * Q * Qd
+    Q = fp.Q
+    v = fp.K.dual() * Q - char_P({1, 2, 3}).dual() * Q * Q.dual()
     if not v.fixed_part().is_zero():
         raise NotMovableError("tilde vertex has a nonzero fixed part")
     return v

@@ -4,16 +4,17 @@ import pytest
 
 from tetrainst.algebra import Character, CohPoint, EvalPoint, bracket_eval, eval_monomial, monomial, t_monomial
 from tetrainst.formulas import (
-    RankVector,
     check_kappa_identity,
     closed_Z_K,
     closed_Z_coh,
     factorization_scale,
     factorized_Z,
+    kappa_rbar,
     rank1_Z,
     rank1_relation_residual,
 )
 from tetrainst.localization import sample_until
+from tetrainst.partitions import rank_vector
 from tetrainst.series import QSeries
 
 
@@ -24,12 +25,14 @@ def kpoint(seed):
 
 
 def test_rank_vector():
-    rv = RankVector((1, 0, 2, 0))
-    assert rv.r == 3
-    assert rv.kappa_rbar() == t_monomial(1, -1) + t_monomial(3, -2)
-    assert RankVector((1, 1, 1, 1)).kappa_rbar() == 0
-    with pytest.raises(ValueError):
-        RankVector((1, 2, 3))
+    assert rank_vector([1, 0, "2", 0]) == (1, 0, 2, 0)
+    assert kappa_rbar((1, 0, 2, 0)) == t_monomial(1, -1) + t_monomial(3, -2)
+    assert kappa_rbar((1, 1, 1, 1)) == 0
+    for bad in ((1, 2, 3), (1, 0, 0, 0, 0), (1, -1, 0, 0)):
+        with pytest.raises(ValueError):
+            rank_vector(bad)
+        with pytest.raises(ValueError):
+            kappa_rbar(bad)
 
 
 def test_closed_Z_K_vanishing():

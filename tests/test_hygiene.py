@@ -1,15 +1,18 @@
 """Dead names in the package source, found with the standard library's ``ast``.
 
-A module-level import that the module never reads, and a function local that
-is assigned but never read, are left behind when code around them goes away.
+A module-level import that the module never reads, a function local that is
+assigned but never read, and a function, class or method that no code in the
+package or its tests reads, are left behind when code around them goes away.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tetrainst"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tetrainst"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
@@ -59,6 +62,47 @@ def unread_locals(tree):
     return found
 
 
+def _definitions(tree):
+    """``(name, node)`` of the top-level functions and classes and the
+    non-dunder methods; a decorated one is left out, as its decorator may
+    register it."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.decorator_list:
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (
+                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.decorator_list
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ):
+                    yield item.name, item
+
+
+def _reads(tree):
+    """How often each name is read, as a variable or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def dead_definitions(package, tests):
+    """Names defined in the ``package`` trees that nothing outside their own
+    definition reads, in the package or the ``tests`` trees; names are
+    matched alone, whatever they are read from."""
+    reads = sum(map(_reads, package + tests), Counter())
+    return {
+        name
+        for tree in package
+        for name, node in _definitions(tree)
+        if reads[name] == _reads(node)[name]
+    }
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == set()
@@ -67,6 +111,12 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_function_locals(path):
     assert unread_locals(_tree(path)) == set()
+
+
+def test_no_dead_definitions():
+    package = [_tree(p) for p in sorted(SRC.glob("*.py"))]
+    tests = [_tree(p) for p in sorted(TESTS.glob("*.py"))]
+    assert dead_definitions(package, tests) == set()
 
 
 def test_the_scan_finds_dead_names():
@@ -82,3 +132,25 @@ def test_the_scan_finds_dead_names():
     )
     assert unused_imports(tree) == {"os", "Fraction"}
     assert unread_locals(tree) == {"f.ns"}
+
+
+def test_the_scan_finds_dead_definitions():
+    package = ast.parse(
+        "class VariableRegistry:\n"
+        "    def slot(self, i, l):\n"
+        "        return i\n"
+        "    def __eq__(self, other):\n"
+        "        return isinstance(other, VariableRegistry)\n"
+        "class Character:\n"
+        "    def dual(self):\n"
+        "        return self\n"
+        "@main.command()\n"
+        "def compute():\n"
+        "    pass\n"
+        "def half(c):\n"
+        "    return Character().dual() if c else half(1)\n"
+    )
+    tests = ast.parse("def test_half():\n    assert half(1)\n")
+    # a read inside the definition itself does not count
+    assert dead_definitions([package], [tests]) == {"VariableRegistry", "slot"}
+    assert dead_definitions([package], []) == {"VariableRegistry", "slot", "half"}

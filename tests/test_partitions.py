@@ -80,6 +80,20 @@ def test_configuration_shape_validation():
         Configuration((1, 0, 0, 0), ((), (), (), ()))
 
 
+def test_configuration_needs_four_ranks():
+    empty = PlanePartition([])
+    # zip would pair the three ranks with the first three legs
+    with pytest.raises(ValueError):
+        Configuration((1, 0, 0), ((empty,), (), (), ()))
+    assert Configuration([1, 0, 0, 0], ((empty,), (), (), ())).rvec == (1, 0, 0, 0)
+
+
+def test_enumeration_rejects_a_negative_rank():
+    # a negative rank has no compositions of n >= 1, so nothing would be summed
+    with pytest.raises(ValueError):
+        enumerate_configurations((1, -1, 0, 0), 1)
+
+
 def test_embed_to_solid():
     pp = PlanePartition([(0, 0, 0), (1, 0, 0)])
     sp = embed_to_solid(pp, 4)

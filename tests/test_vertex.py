@@ -68,6 +68,20 @@ def test_build_fixed_point_empty():
     assert fp.K.rank() == 2
 
 
+def test_slots_get_framing_weights_in_slot_order():
+    # the order in which the sampler hands out sqrt_w
+    for rvec in [(1, 1, 0, 0), (2, 0, 0, 1), (1, 1, 1, 1)]:
+        for config in configs_up_to(rvec, 2):
+            fp = build_fixed_point(config)
+            Q = Character.zero()
+            for k, ((i, l), pp) in enumerate(config.slots()):
+                Q = Q + Character.of(w_monomial(k)) * partition_character(pp, i)
+            assert fp.Q == Q
+            assert sum(fp.Q_leg, Character.zero()) == fp.Q
+            assert sum(fp.K_leg, Character.zero()) == fp.K
+            assert fp.K.rank() == sum(rvec)
+
+
 def test_rank_of_Q_is_size():
     for config in configs_up_to((1, 1, 0, 0), 3):
         fp = build_fixed_point(config)
