@@ -106,26 +106,23 @@ def w_monomial(slot):
 class Character:
     """A finite integer-multiplicity multiset of weights.
 
-    Stored as ``{packed weight: nonzero multiplicity}``; addition and
-    subtraction cancel exactly.
+    Stored as ``{packed weight: nonzero multiplicity}``; sums cancel exactly.
+    No method changes a character in place, so characters may be shared.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for m, mult in terms.items():
-                self._add(m, mult)
+        self.terms = {m: mult for m, mult in terms.items() if mult} if terms else {}
 
-    def _add(self, m, mult):
-        if mult == 0:
-            return
-        new = self.terms.get(m, 0) + mult
-        if new:
-            self.terms[m] = new
-        else:
-            del self.terms[m]
+    @classmethod
+    def sum(cls, chars):
+        """The sum of the characters in ``chars``, collected into one dict."""
+        terms = {}
+        for V in chars:
+            for m, mult in V.terms.items():
+                terms[m] = terms.get(m, 0) + mult
+        return cls(terms)
 
     @classmethod
     def zero(cls):
@@ -143,26 +140,21 @@ class Character:
         return sum(self.terms.values())
 
     def __add__(self, other):
-        out = Character(self.terms)
-        for m, mult in other.terms.items():
-            out._add(m, mult)
-        return out
+        return Character.sum((self, other))
 
     def __sub__(self, other):
-        out = Character(self.terms)
-        for m, mult in other.terms.items():
-            out._add(m, -mult)
-        return out
+        return Character.sum((self, -other))
 
     def __neg__(self):
         return Character({m: -mult for m, mult in self.terms.items()})
 
     def __mul__(self, other):
-        out = Character()
+        terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                out._add(m1 + m2, c1 * c2)
-        return out
+                m = m1 + m2
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return Character(terms)
 
     def dual(self):
         return Character({-m: mult for m, mult in self.terms.items()})

@@ -31,19 +31,11 @@ def kappa_rbar(rvec):
     return monomial(tuple(-2 * ri for ri in rank_vector(rvec)))
 
 
-def _prefactor_character():
-    # [t1t2][t1t3][t2t3] / ([t1][t2][t3][t4]) as a virtual character
-    terms = {}
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        m = t_monomial(i) + t_monomial(j)
-        terms[m] = terms.get(m, 0) + 1
-    for i in range(1, 5):
-        m = t_monomial(i)
-        terms[m] = terms.get(m, 0) - 1
-    return Character(terms)
-
-
-_A_CHAR = _prefactor_character()
+# [t1t2][t1t3][t2t3] / ([t1][t2][t3][t4]) as a virtual character
+_A_CHAR = Character({
+    **{t_monomial(i) + t_monomial(j): 1 for i, j in ((1, 2), (1, 3), (2, 3))},
+    **{t_monomial(i): -1 for i in range(1, 5)},
+})
 
 
 def closed_Z_K(rvec, order, p):

@@ -8,8 +8,10 @@ Enumeration per size is memoized for the life of the process.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, product
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,15 @@ class SolidPartition(OrderIdeal):
 
 
 def rank_vector(rvec):
-    """``rvec`` as a tuple of four nonnegative ints; raises ``ValueError`` otherwise."""
-    rv = tuple(map(int, rvec))
+    """``rvec`` as a tuple of four nonnegative ints; raises ``ValueError`` otherwise.
+
+    An entry is an int or a decimal string; a float or a ``Fraction`` is
+    rejected, not truncated.
+    """
+    try:
+        rv = tuple(int(r) if isinstance(r, str) else operator.index(r) for r in rvec)
+    except TypeError:
+        rv = ()
     if len(rv) != 4 or min(rv) < 0:
         raise ValueError(f"rank vector must be 4 nonnegative integers, got {rvec!r}")
     return rv
@@ -150,25 +159,10 @@ def enumerate_configurations(rvec, n):
     r = sum(rvec)
     configs = []
     for comp in _compositions(n, r):
-        pools = [enumerate_plane_partitions(k) for k in comp]
-        _product_into(configs, rvec, pools)
+        for choice in product(*(enumerate_plane_partitions(k) for k in comp)):
+            slots = iter(choice)
+            configs.append(Configuration(rvec, tuple(tuple(islice(slots, ri)) for ri in rvec)))
     return configs
-
-
-def _product_into(out, rvec, pools):
-    def rec(idx, chosen):
-        if idx == len(pools):
-            legs = []
-            pos = 0
-            for r in rvec:
-                legs.append(tuple(chosen[pos : pos + r]))
-                pos += r
-            out.append(Configuration(rvec, tuple(legs)))
-            return
-        for p in pools[idx]:
-            rec(idx + 1, chosen + [p])
-
-    rec(0, [])
 
 
 def embed_to_solid(pp, i):

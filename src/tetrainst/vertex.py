@@ -10,7 +10,6 @@ rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import Character, NotMovableError, monomial, t_monomial, w_monomial
 
@@ -21,21 +20,15 @@ def other_indices(i):
 
 
 def char_P(index_set):
-    """``P_I = prod_{l in I} (1 - t_l)`` expanded as a character.
-
-    Built once per process for each index set; callers share the result and
-    must not mutate it.
-    """
-    return _char_P(tuple(sorted(index_set)))
-
-
-@lru_cache(maxsize=None)
-def _char_P(indices):
+    """``P_I = prod_{l in I} (1 - t_l)`` expanded as a character."""
     out = Character.one()
-    for l in indices:
-        factor = Character.one() - Character.of(t_monomial(l))
-        out = out * factor
+    for l in index_set:
+        out = out * Character({0: 1, t_monomial(l): -1})
     return out
+
+
+# PBAR[k] is Pbar_{k^} = dual(P_I) for I the three indices other than k
+PBAR = {k: char_P(other_indices(k)).dual() for k in range(1, 5)}
 
 
 @dataclass
@@ -103,42 +96,33 @@ def virtual_tangent(fp):
     """Virtual tangent character at the fixed point (rank zero)."""
     Q, K, K_leg = fp.Q, fp.K, fp.K_leg
     Qd = Q.dual()
-    T = K.dual() * Q + K * Qd - char_P({1, 2, 3, 4}) * Q * Qd
-    for i in range(1, 5):
-        ti = Character.of(t_monomial(i))
-        ti_inv = Character.of(t_monomial(i, -1))
-        T = T - K_leg[i - 1] * ti * Qd
-        T = T - K_leg[i - 1].dual() * ti_inv * Q
-    return T
+    return Character.sum([
+        K.dual() * Q,
+        K * Qd,
+        -char_P({1, 2, 3, 4}) * Q * Qd,
+        *(-K_leg[i - 1] * Character.of(t_monomial(i)) * Qd for i in range(1, 5)),
+        *(-K_leg[i - 1].dual() * Character.of(t_monomial(i, -1)) * Q for i in range(1, 5)),
+    ])
 
 
 def ambient_tangent(fp):
     """Tangent character of the smooth ambient moduli space."""
     Q = fp.Q
-    Qd = Q.dual()
-    c4 = Character.zero()
-    for i in range(1, 5):
-        c4 = c4 + Character.of(t_monomial(i, -1))
-    c4 = c4 - Character.one()
-    return c4 * Q * Qd + fp.K.dual() * Q
+    c4 = Character({0: -1, **{t_monomial(i, -1): 1 for i in range(1, 5)}})
+    return c4 * Q * Q.dual() + fp.K.dual() * Q
 
 
 def obstruction_fiber(fp):
     """Fiber character of the orthogonal bundle cutting out the moduli space."""
     Q, K_leg = fp.Q, fp.K_leg
     Qd = Q.dual()
-    lam2 = Character.zero()
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            m = t_monomial(i, -1) + t_monomial(j, -1)
-            lam2 = lam2 + Character.of(m)
-    L = lam2 * Q * Qd
-    for i in range(1, 5):
-        ti = Character.of(t_monomial(i))
-        ti_inv = Character.of(t_monomial(i, -1))
-        L = L + K_leg[i - 1] * ti * Qd
-        L = L + K_leg[i - 1].dual() * ti_inv * Q
-    return L
+    # the six weights t_i^(-1) t_j^(-1), i < j, are distinct
+    lam2 = Character({t_monomial(i, -1) + t_monomial(j, -1): 1 for i in range(1, 5) for j in range(i + 1, 5)})
+    return Character.sum([
+        lam2 * Q * Qd,
+        *(K_leg[i - 1] * Character.of(t_monomial(i)) * Qd for i in range(1, 5)),
+        *(K_leg[i - 1].dual() * Character.of(t_monomial(i, -1)) * Q for i in range(1, 5)),
+    ])
 
 
 def virtual_tangent_via_ambient(fp):
@@ -155,18 +139,13 @@ def vertex(fp):
     """
     Q, K, Q_leg, K_leg = fp.Q, fp.K, fp.Q_leg, fp.K_leg
     Qd = Q.dual()
-    v = K.dual() * Q
-    for j in range(1, 5):
-        tj = Character.of(t_monomial(j))
-        v = v - K_leg[j - 1] * tj * Qd
-    for j in range(1, 5):
-        Pbar = char_P(other_indices(j)).dual()
-        v = v - Pbar * Q_leg[j - 1] * Q_leg[j - 1].dual()
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            Pbar = char_P(other_indices(j)).dual()
-            cross = Q_leg[j - 1] * Q_leg[i - 1].dual() + Q_leg[i - 1] * Q_leg[j - 1].dual()
-            v = v - Pbar * cross
+    Qd_leg = [Qi.dual() for Qi in Q_leg]
+    # v = Kbar Q - sum_j K_j t_j Qbar - sum_{i,j} Pbar_{max(i,j)^} Q_j Qbar_i
+    v = Character.sum([
+        K.dual() * Q,
+        *(-K_leg[j - 1] * Character.of(t_monomial(j)) * Qd for j in range(1, 5)),
+        *(-PBAR[max(i, j)] * Q_leg[j - 1] * Qd_leg[i - 1] for i in range(1, 5) for j in range(1, 5)),
+    ])
     if not v.fixed_part().is_zero():
         raise NotMovableError("vertex term has a nonzero fixed part")
     return v
@@ -182,8 +161,7 @@ def _half_block(fp, i, l, j, k, pleg=None):
     Zjk = fp.Z[(j, k)]
     Zil_d = fp.Z[(i, l)].dual()
     kappa_inv = Character.of(t_monomial(j))  # kappa_j^(-1) = t_j
-    Pbar = char_P(other_indices(pleg)).dual()
-    return wfac * (Zjk - kappa_inv * Zil_d - Pbar * Zjk * Zil_d)
+    return wfac * (Zjk - kappa_inv * Zil_d - PBAR[pleg] * Zjk * Zil_d)
 
 
 def vertex_block(fp, i, l, j, k):
@@ -204,18 +182,16 @@ def vertex_block(fp, i, l, j, k):
 
 def vertex_from_blocks(fp):
     """Reassemble the vertex term from its blocks (decomposition identity)."""
-    out = Character.zero()
     slots = list(fp.Z)
-    for a, (i, l) in enumerate(slots):
-        for (j, k) in slots[a:]:
-            out = out + vertex_block(fp, i, l, j, k)
-    return out
+    return Character.sum(
+        vertex_block(fp, i, l, j, k) for a, (i, l) in enumerate(slots) for (j, k) in slots[a:]
+    )
 
 
 def tilde_vertex(fp):
     """Rank-agnostic square-root variant ``Kbar*Q - Pbar_{123}*Q*Qbar``."""
     Q = fp.Q
-    v = fp.K.dual() * Q - char_P({1, 2, 3}).dual() * Q * Q.dual()
+    v = fp.K.dual() * Q - PBAR[4] * Q * Q.dual()
     if not v.fixed_part().is_zero():
         raise NotMovableError("tilde vertex has a nonzero fixed part")
     return v

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -170,6 +172,30 @@ def test_character_ring_axioms(U, V, W):
     assert (U * V) * W == U * (V * W)
     assert U * (V + W) == U * V + U * W
     assert (U + V) * W == U * W + V * W
+
+
+@given(st.lists(_characters, max_size=5))
+def test_sum_is_repeated_addition(xs):
+    assert Character.sum(xs) == reduce(add, xs, Character())
+    assert Character.sum(iter(xs)) == Character.sum(xs)
+
+
+@given(_characters, _characters)
+def test_operations_leave_their_operands_unchanged(V, W):
+    before = (dict(V.terms), dict(W.terms))
+    results = [V + W, V - W, V * W, -V, V.dual(), Character.sum([V, W, V])]
+    assert (V.terms, W.terms) == before
+    # and no result shares its dict with an operand
+    assert all(r.terms is not x.terms for r in results for x in (V, W))
+
+
+@given(st.lists(_characters, min_size=2, max_size=4))
+def test_no_stored_multiplicity_is_zero(xs):
+    V, W = xs[0], xs[1]
+    zeros = Character({**dict.fromkeys(W.terms, 0), **V.terms})
+    assert zeros == V
+    for r in (zeros, V + W, V - W, V - V, V * W, -V, V.dual(), V.fixed_part(), Character.sum(xs)):
+        assert 0 not in r.terms.values()
 
 
 @given(_characters, _characters)

@@ -14,7 +14,7 @@ from tetrainst.formulas import (
     rank1_relation_residual,
 )
 from tetrainst.localization import sample_until
-from tetrainst.partitions import rank_vector
+from tetrainst.partitions import enumerate_configurations, rank_vector
 from tetrainst.series import QSeries
 
 
@@ -33,6 +33,14 @@ def test_rank_vector():
             rank_vector(bad)
         with pytest.raises(ValueError):
             kappa_rbar(bad)
+    # a non-integer entry is rejected, not truncated
+    for bad in ((1.5, 0, 0, 0), (0, 0, 0, 2.0), (Fraction(3, 2), 0, 0, 0), (0, Fraction(1), 0, 0)):
+        with pytest.raises(ValueError):
+            rank_vector(bad)
+        with pytest.raises(ValueError):
+            kappa_rbar(bad)
+        with pytest.raises(ValueError):
+            enumerate_configurations(bad, 1)
 
 
 def test_closed_Z_K_vanishing():

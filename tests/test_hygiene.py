@@ -3,6 +3,9 @@
 A module-level import that the module never reads, a function local that is
 assigned but never read, and a function, class or method that no code in the
 package or its tests reads, are left behind when code around them goes away.
+
+Characters are shared by the caches, so outside ``algebra.py`` no code may
+write into a character's ``terms`` dict.
 """
 
 import ast
@@ -103,6 +106,32 @@ def dead_definitions(package, tests):
     }
 
 
+_DICT_MUTATORS = {"__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"}
+
+
+def _is_terms(node):
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def terms_writes(tree):
+    """Line numbers that store to, delete from or call a mutating dict method
+    on some ``x.terms``, or rebind ``x.terms`` itself."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_terms(node.value) and not isinstance(node.ctx, ast.Load):
+            found.add(node.lineno)
+        elif _is_terms(node) and not isinstance(node.ctx, ast.Load):
+            found.add(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _DICT_MUTATORS
+            and _is_terms(node.func.value)
+        ):
+            found.add(node.lineno)
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == set()
@@ -111,6 +140,11 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_function_locals(path):
     assert unread_locals(_tree(path)) == set()
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "algebra.py"], ids=lambda p: p.name)
+def test_characters_are_not_written_outside_algebra(path):
+    assert terms_writes(_tree(path)) == set()
 
 
 def test_no_dead_definitions():
@@ -154,3 +188,19 @@ def test_the_scan_finds_dead_definitions():
     # a read inside the definition itself does not count
     assert dead_definitions([package], [tests]) == {"VariableRegistry", "slot"}
     assert dead_definitions([package], []) == {"VariableRegistry", "slot", "half"}
+
+
+def test_the_scan_finds_writes_into_terms():
+    tree = ast.parse(
+        "def f(V, W, m):\n"
+        "    V.terms[m] = 1\n"
+        "    del V.terms[m]\n"
+        "    V.terms[m] += 2\n"
+        "    W.Q.terms.update({m: 1})\n"
+        "    V.terms.pop(m, None)\n"
+        "    V.terms = {}\n"
+        "    V.terms |= {m: 1}\n"
+        "    n = V.terms[m] + len(V.terms) + V.terms.get(m, 0)\n"
+        "    return {k: c for k, c in V.terms.items()}, dict(W.terms), n\n"
+    )
+    assert terms_writes(tree) == {2, 3, 4, 5, 6, 7, 8}

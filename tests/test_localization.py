@@ -23,7 +23,7 @@ from tetrainst.localization import (
 )
 from tetrainst.partitions import Configuration, PlanePartition, enumerate_configurations
 from tetrainst.series import QSeries
-from tetrainst.vertex import _char_P, build_fixed_point
+from tetrainst.vertex import build_fixed_point
 
 
 def test_sample_point_deterministic():
@@ -207,13 +207,6 @@ def test_framings_drawn_apart_from_the_point(monkeypatch, seed):
     assert not {b for q in framed for b in q.sqrt_w} & set(point.sqrt_t)
 
 
-def test_framing_independence_elliptic_informational():
-    rep = check_framing_independence((0, 0, 0, 2), 1, 31, 2, p_order=1)
-    assert rep.passed  # the elliptic disagreement is informational only
-    info = [d for d in rep.details if "elliptic_framing_agreement" in d]
-    assert info and info[0]["elliptic_framing_agreement"] is False
-
-
 def test_verify_main_k():
     rep = verify_main((1, 1, 0, 0), 2, 37, 2, "k")
     assert rep.passed
@@ -286,7 +279,6 @@ def test_Z_loc_K_same_from_warm_and_cleared_caches():
     p = EvalPoint(sqrt_t3, sqrt_w)
     warm = [Z_loc_K(rvec, 3, p) for _ in range(2)]
     localization._characters.cache_clear()
-    _char_P.cache_clear()
     cold = Z_loc_K(rvec, 3, EvalPoint(sqrt_t3, sqrt_w))
     assert warm[0] == warm[1] == cold
     assert cold == closed_Z_K(rvec, 3, EvalPoint(sqrt_t3, sqrt_w))
