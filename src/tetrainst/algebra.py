@@ -1,7 +1,9 @@
 """Exact arithmetic for torus weights, virtual characters and localization measures.
 
-Everything is built on top of ``fractions.Fraction``; no floating point is
-used anywhere.  A weight is a Laurent monomial in the square roots of the
+Every value is an exact rational; no floating point is used anywhere.  Values
+come out as ``fractions.Fraction``, but the measures multiply each weight's
+value as an unreduced ``(numerator, denominator)`` pair of ints and reduce
+once per character.  A weight is a Laurent monomial in the square roots of the
 equivariant parameters ``t1..t4`` (subject to ``t1*t2*t3*t4 == 1``) and of the
 framing parameters ``w_il``, that is a point of the torus' character lattice.
 Exponents are stored *doubled*, so the entry ``2*mu`` represents ``t**mu`` and
@@ -23,6 +25,7 @@ torus representation).  The three localization measures act on characters:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .series import QSeries
 
@@ -183,10 +186,13 @@ class EvalPoint:
 
     ``sqrt_t = (a1, a2, a3, a4)`` with ``a1*a2*a3*a4 == 1`` (the square-root
     form of the Calabi-Yau relation) and one positive rational per w-slot.
-    ``values`` holds the measures' per-weight values at this point, filled
-    lazily: under a weight its bracket, and under ``(weight, order)`` the
-    Adams sums ``y**k + y**-k`` for ``k = 1..order`` that the theta measure
-    adds up.  A derived point starts with an empty one.
+    ``bases`` keeps the integer ``(numerator, denominator)`` pair of each
+    square-root base that a weight's fields refer to: t1, t2, t3, then each
+    w-slot.  ``values`` holds the measures' per-weight values at this point,
+    filled lazily: under a weight its bracket as an unreduced int pair, and
+    under ``(weight, order)`` the Adams sums ``y**k + y**-k`` for
+    ``k = 1..order`` that the theta measure adds up.  A derived point is built
+    afresh, with its own bases and an empty ``values``.
     """
 
     def __init__(self, sqrt_t3, sqrt_w=()):
@@ -198,6 +204,7 @@ class EvalPoint:
         self.sqrt_w = tuple(Fraction(b) for b in sqrt_w)
         if any(b == 0 for b in self.sqrt_w):
             raise ValueError("square-root bases must be nonzero")
+        self.bases = tuple((b.numerator, b.denominator) for b in (a1, a2, a3, *self.sqrt_w))
         self.values = {}
 
     def powered(self, n):
@@ -214,14 +221,22 @@ class EvalPoint:
 class CohPoint:
     """Exact rational Chern roots ``s1..s4`` with ``s1+s2+s3+s4 == 0``.
 
-    ``values`` holds the per-weight Euler classes at this point, filled
-    lazily; a derived point starts with an empty one.
+    ``denominator`` is the least common denominator ``D`` of ``s1, s2, s3``
+    and the framing roots ``v``, and ``bases`` holds those roots times ``D``
+    as ints, in the order of a weight's fields.  ``values`` holds the
+    per-weight Euler classes at this point as unreduced int pairs, filled
+    lazily; a derived point is built afresh, with its own ``D``, bases and an
+    empty ``values``.
     """
 
     def __init__(self, s3, v=()):
         s1, s2, s3_ = (Fraction(s) for s in s3)
         self.s = (s1, s2, s3_, -(s1 + s2 + s3_))
         self.v = tuple(Fraction(x) for x in v)
+        roots = (s1, s2, s3_, *self.v)
+        D = lcm(*(s.denominator for s in roots))
+        self.denominator = D
+        self.bases = tuple(s.numerator * (D // s.denominator) for s in roots)
         self.values = {}
 
     def with_v(self, v):
@@ -241,14 +256,23 @@ def _paired(m, bases):
     return zip(bases, fields)
 
 
+def _eval_pair(m, p):
+    """Value of ``m`` at ``p`` as an unreduced pair ``(n, d)`` of ints, ``n/d``;
+    half-integer powers evaluate exactly on the square-root bases."""
+    n = d = 1
+    for (a, b), e in _paired(m, p.bases):
+        if e > 0:
+            n *= a ** e
+            d *= b ** e
+        elif e < 0:
+            n *= b ** -e
+            d *= a ** -e
+    return n, d
+
+
 def eval_monomial(m, p):
-    """Value of ``m`` at ``p``; half-integer powers evaluate exactly on the
-    square-root bases."""
-    val = Fraction(1)
-    for a, e in _paired(m, p.sqrt_t[:3] + p.sqrt_w):
-        if e:
-            val *= a ** e
-    return val
+    """Value of ``m`` at ``p``."""
+    return Fraction(*_eval_pair(m, p))
 
 
 def _sqrt(m):
@@ -259,24 +283,33 @@ def _sqrt(m):
     return m >> 1
 
 
-def bracket_monomial(m, p):
-    """``[m] = m^(1/2) - m^(-1/2)`` evaluated at ``p``."""
+def _bracket_pair(m, p):
+    """``[m] = m^(1/2) - m^(-1/2)`` at ``p``: with ``m^(1/2) = n/d`` it is the
+    unreduced pair ``(n*n - d*d, n*d)``."""
     if not m:
         raise TrivialWeightError("bracket of the trivial weight is undefined")
-    s = eval_monomial(_sqrt(m), p)
-    return s - 1 / s
+    n, d = _eval_pair(_sqrt(m), p)
+    return n * n - d * d, n * d
+
+
+def bracket_monomial(m, p):
+    """``[m] = m^(1/2) - m^(-1/2)`` evaluated at ``p``."""
+    return Fraction(*_bracket_pair(m, p))
 
 
 def _product(V, p, weigh, what):
     """``prod weigh(m, p) ** mult`` over the terms of a movable character.
 
-    Each weight is weighed once per point and its value kept in ``p.values``.
-    Every factor is weighed before the result is decided, so it does not
-    depend on the order of the terms: a vanishing factor with negative
-    multiplicity is a pole, and otherwise a vanishing factor gives 0.
+    ``weigh`` gives a weight's value as an unreduced int pair ``(a, b)`` with
+    ``b != 0``.  Each weight is weighed once per point and its pair kept in
+    ``p.values``; the numerators and denominators are multiplied as ints and
+    reduced once, in the returned ``Fraction``.  Every factor is weighed
+    before the result is decided, so it does not depend on the order of the
+    terms: a vanishing factor with negative multiplicity is a pole, and
+    otherwise a vanishing factor gives 0.
     """
     values = p.values
-    val = Fraction(1)
+    num = den = 1
     pole = None
     zero = False
     try:
@@ -286,12 +319,16 @@ def _product(V, p, weigh, what):
                 if not m:
                     raise TrivialWeightError("character has a nonzero fixed part")
                 x = values[m] = weigh(m, p)
-            if not x:
+            a, b = x
+            if not a:
                 if mult < 0 and pole is None:
                     pole = m
                 zero = True
             elif not zero:
-                val *= x ** mult
+                if mult < 0:
+                    a, b, mult = b, a, -mult
+                num *= a ** mult
+                den *= b ** mult
     except FractionalPowerError:
         # a nonzero fixed part is reported first, wherever its term sits
         if not V.fixed_part().is_zero():
@@ -301,7 +338,7 @@ def _product(V, p, weigh, what):
         raise PoleAtPointError(f"{what} pole at {_weight_str(pole)}")
     if zero:
         return Fraction(0)
-    return val
+    return Fraction(num, den)
 
 
 def bracket_eval(V, p):
@@ -310,20 +347,23 @@ def bracket_eval(V, p):
     Raises :class:`TrivialWeightError` if ``V`` has a nonzero fixed part and
     :class:`PoleAtPointError` if a negative-multiplicity factor vanishes.
     """
-    return _product(V, p, bracket_monomial, "bracket")
+    return _product(V, p, _bracket_pair, "bracket")
+
+
+def _euler_pair(m, p):
+    """The equivariant first Chern class ``mu . s`` of an integer weight, as
+    the unreduced pair ``(sum D*s_k * mu_k, D)``."""
+    return sum(s * e for s, e in _paired(_sqrt(m), p.bases)), p.denominator
 
 
 def euler_monomial(m, p):
     """The equivariant first Chern class ``mu . s`` of an integer weight."""
-    val = Fraction(0)
-    for s, e in _paired(_sqrt(m), p.s[:3] + p.v):
-        val += s * e
-    return val
+    return Fraction(*_euler_pair(m, p))
 
 
 def euler_eval(V, p):
     """Multiplicative extension of the Euler class to a movable character."""
-    return _product(V, p, euler_monomial, "Euler-class")
+    return _product(V, p, _euler_pair, "Euler-class")
 
 
 def theta_monomial(m, p, order):
@@ -373,7 +413,7 @@ def theta_eval(V, p, order):
         raise FractionalPowerError(
             f"aggregate elliptic prefactor p^({twelfths}/12) is not an integer power"
         )
-    bracket = _product(V, p, bracket_monomial, "theta")
+    bracket = _product(V, p, _bracket_pair, "theta")
     if not bracket:
         return QSeries.zero(order)
     values = p.values

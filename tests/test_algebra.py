@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import prod
 from operator import add
 
 import pytest
@@ -27,6 +28,7 @@ from tetrainst.algebra import (
     theta_monomial,
     w_monomial,
 )
+from tetrainst.localization import sample_point
 from tetrainst.partitions import enumerate_configurations
 from tetrainst.series import BadConstantTermError, QSeries
 from tetrainst.vertex import build_fixed_point, char_P, vertex
@@ -368,22 +370,106 @@ def test_measures_ignore_term_order(terms, data):
         assert _outcome(measure, Character(dict(shuffled)), p) == want
 
 
+def _ref_bracket(m, p):
+    """The bracket of one weight in Fractions: ``s - 1/s`` for its root ``s``."""
+    bases = p.sqrt_t[:3] + p.sqrt_w
+    s = prod((a ** e for a, e in zip(bases, exponents(m >> 1))), start=Fraction(1))
+    return s - 1 / s
+
+
+def _ref_euler(m, q):
+    """The Euler class of one weight in Fractions."""
+    return sum((s * e for s, e in zip(q.s[:3] + q.v, exponents(m >> 1))), Fraction(0))
+
+
+def _by_factors(V, p, ref):
+    """``prod ref(m, p) ** mult`` over ``V``, one Fraction factor at a time,
+    or the type of the error the measures raise on ``V``."""
+    if not V.fixed_part().is_zero():
+        return TrivialWeightError
+    if any(e % 2 for m in V.terms for e in exponents(m)):
+        return FractionalPowerError
+    factors = [(ref(m, p), mult) for m, mult in V.terms.items()]
+    if any(not x and mult < 0 for x, mult in factors):
+        return PoleAtPointError
+    if any(not x for x, _ in factors):
+        return Fraction(0)
+    return prod((x ** mult for x, mult in factors), start=Fraction(1))
+
+
+def _same_as_by_factors(measure, V, p, ref):
+    got = _outcome(measure, V, p)
+    assert got == _by_factors(V, p, ref)
+    assert isinstance(got, type) or type(got) is Fraction
+
+
+_BY_FACTORS_POINTS = [
+    # a1 * a2 == 1: the int pair of t1*t2 is (6, 6), reduced only at the end
+    (bracket_eval, _ref_bracket,
+     lambda: EvalPoint((Fraction(3, 2), Fraction(2, 3), 5), (Fraction(-7, 3), Fraction(1, 4)))),
+    # negative bases
+    (bracket_eval, _ref_bracket,
+     lambda: EvalPoint((Fraction(-2, 5), 3, Fraction(9, 4)), (2, Fraction(-1, 6)))),
+    # roots with different denominators, and root sums that vanish
+    (euler_eval, _ref_euler,
+     lambda: CohPoint((Fraction(1, 6), Fraction(-3, 4), Fraction(5, 9)), (Fraction(3, 4), -1))),
+]
+
+
+@given(_characters, st.sampled_from(range(len(_BY_FACTORS_POINTS))))
+def test_measures_match_fraction_products_factor_by_factor(V, which):
+    measure, ref, point = _BY_FACTORS_POINTS[which]
+    # doubling every weight makes it an integer weight, so the product is taken
+    doubled = Character({2 * m: mult for m, mult in V.terms.items()})
+    for W in (V, doubled):
+        _same_as_by_factors(measure, W, point(), ref)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_measures_match_fraction_products_on_minus_the_vertex(seed):
+    rvec = (1, 1, 0, 0)
+    p, q = sample_point(seed, rvec, "k"), sample_point(seed, rvec, "coh")
+    for n in range(4):
+        for config in enumerate_configurations(rvec, n):
+            V = -vertex(build_fixed_point(config))
+            _same_as_by_factors(bracket_eval, V, p, _ref_bracket)
+            _same_as_by_factors(euler_eval, V, q, _ref_euler)
+
+
 def test_derived_points_start_with_no_values():
     V = Character({t_monomial(1): 1, w_monomial(0): -1})
+    W = Character(
+        {t_monomial(1) - w_monomial(0): 2, t_monomial(3, -1) - w_monomial(0): -1, t_monomial(2): 1}
+    )
     p = EvalPoint((Fraction(2, 3), 5, 7), (Fraction(3, 2),))
     bracket_eval(V, p)
+    bracket_eval(W, p)
     theta_eval(V, p, 2)
     assert p.values
+    # a derived point evaluates from its own integer bases, as a point built
+    # directly from the same bases does
     for derived, fresh in (
         (p.with_sqrt_w((11,)), EvalPoint((Fraction(2, 3), 5, 7), (11,))),
+        (p.with_sqrt_w((Fraction(-5, 7),)), EvalPoint((Fraction(2, 3), 5, 7), (Fraction(-5, 7),))),
         (p.powered(2), EvalPoint((Fraction(4, 9), 25, 49), (Fraction(9, 4),))),
+        (
+            p.powered(-3),
+            EvalPoint((Fraction(27, 8), Fraction(1, 125), Fraction(1, 343)), (Fraction(8, 27),)),
+        ),
     ):
+        assert derived.bases == fresh.bases
         assert bracket_eval(V, derived) == bracket_eval(V, fresh)
+        assert bracket_eval(W, derived) == bracket_eval(W, fresh) != bracket_eval(W, p)
         assert theta_eval(V, derived, 2) == theta_eval(V, fresh, 2)
     c = CohPoint((3, 5, 7), (2,))
     euler_eval(V, c)
+    euler_eval(W, c)
     assert c.values
-    assert euler_eval(V, c.with_v((4,))) == euler_eval(V, CohPoint((3, 5, 7), (4,)))
+    for v in ((4,), (Fraction(5, 12),), (Fraction(-1, 10),)):
+        derived, fresh = c.with_v(v), CohPoint((3, 5, 7), v)
+        assert (derived.denominator, derived.bases) == (fresh.denominator, fresh.bases)
+        assert euler_eval(V, derived) == euler_eval(V, fresh)
+        assert euler_eval(W, derived) == euler_eval(W, fresh) != euler_eval(W, c)
 
 
 def test_bracket_needs_integer_weight():

@@ -66,14 +66,14 @@ def unread_locals(tree):
 
 
 def _definitions(tree):
-    """``(name, node)`` of the top-level functions and classes and the
-    non-dunder methods; a decorated one is left out, as its decorator may
+    """``(name, node, is_method)`` of the top-level functions and classes and
+    the non-dunder methods; a decorated one is left out, as its decorator may
     register it."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         if not node.decorator_list:
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (
@@ -81,28 +81,35 @@ def _definitions(tree):
                     and not item.decorator_list
                     and not (item.name.startswith("__") and item.name.endswith("__"))
                 ):
-                    yield item.name, item
+                    yield item.name, item, True
 
 
 def _reads(tree):
-    """How often each name is read, as a variable or as an attribute."""
+    """How often each name is read, keyed by ``(name, read as an attribute)``."""
     return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
+        (n.attr, True) if isinstance(n, ast.Attribute) else (n.id, False)
         for n in ast.walk(tree)
         if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
     )
 
 
+def _reads_of(reads, name, is_method):
+    """The reads that can reach a definition: a method is read only as an
+    attribute (``x.sum``, never the builtin ``sum``), a top-level function or
+    class also as a variable."""
+    return reads[name, True] + (0 if is_method else reads[name, False])
+
+
 def dead_definitions(package, tests):
     """Names defined in the ``package`` trees that nothing outside their own
     definition reads, in the package or the ``tests`` trees; names are
-    matched alone, whatever they are read from."""
+    matched alone, whatever object they are read from."""
     reads = sum(map(_reads, package + tests), Counter())
     return {
         name
         for tree in package
-        for name, node in _definitions(tree)
-        if reads[name] == _reads(node)[name]
+        for name, node, is_method in _definitions(tree)
+        if _reads_of(reads, name, is_method) == _reads_of(_reads(node), name, is_method)
     }
 
 
@@ -183,11 +190,17 @@ def test_the_scan_finds_dead_definitions():
         "    pass\n"
         "def half(c):\n"
         "    return Character().dual() if c else half(1)\n"
+        "class Series:\n"
+        "    def sum(self, xs):\n"
+        "        return sum(xs)\n"
+        "def total(xs):\n"
+        "    return sum(xs) + Series.rank\n"
     )
-    tests = ast.parse("def test_half():\n    assert half(1)\n")
-    # a read inside the definition itself does not count
-    assert dead_definitions([package], [tests]) == {"VariableRegistry", "slot"}
-    assert dead_definitions([package], []) == {"VariableRegistry", "slot", "half"}
+    tests = ast.parse("def test_half():\n    assert half(1) and total([1])\n")
+    # a read inside the definition itself does not count, and the builtin
+    # sum(...) is no read of the method Series.sum
+    assert dead_definitions([package], [tests]) == {"VariableRegistry", "slot", "sum"}
+    assert dead_definitions([package], []) == {"VariableRegistry", "slot", "half", "sum", "total"}
 
 
 def test_the_scan_finds_writes_into_terms():
