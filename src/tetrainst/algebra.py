@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .series import QSeries
+from .series import QSeries, plethystic_exp
 
 
 class TrivialWeightError(ValueError):
@@ -84,11 +84,12 @@ def exponents(m):
     return tuple(out)
 
 
-def _weight_str(m):
-    """``m`` as a product of powers, e.g. ``t1^(1/2)*w[0]^(-1)``."""
+def _weight_str(fields):
+    """The weight with doubled exponents ``fields`` (as :func:`exponents`
+    gives them) as a product of powers, e.g. ``t1^(1/2)*w[0]^(-1)``."""
     parts = [
         f"t{k + 1}^({Fraction(e, 2)})" if k < 3 else f"w[{k - 3}]^({Fraction(e, 2)})"
-        for k, e in enumerate(exponents(m))
+        for k, e in enumerate(fields)
         if e
     ]
     return "*".join(parts) or "1"
@@ -178,7 +179,7 @@ class Character:
         fields = [exponents(m) for m in self.terms]
         width = max(map(len, fields))
         items = sorted(zip((f + (0,) * (width - len(f)) for f in fields), self.terms.items()))
-        return "Character(" + " + ".join(f"{c}*{_weight_str(m)}" for _, (m, c) in items) + ")"
+        return "Character(" + " + ".join(f"{c}*{_weight_str(f)}" for f, (_, c) in items) + ")"
 
 
 class EvalPoint:
@@ -246,21 +247,21 @@ class CohPoint:
         return f"CohPoint(s={self.s}, v={self.v})"
 
 
-def _paired(m, bases):
-    """The fields of ``m`` zipped with a point's bases for t1, t2, t3 and the
+def _paired(fields, bases):
+    """A weight's fields zipped with a point's bases for t1, t2, t3 and the
     w-slots.  A weight with more fields than there are bases belongs to
     another rank vector; truncating it would give a wrong value."""
-    fields = exponents(m)
     if len(fields) > len(bases):
-        raise ValueError(f"weight {_weight_str(m)} has more slots than the point")
+        raise ValueError(f"weight {_weight_str(fields)} has more slots than the point")
     return zip(bases, fields)
 
 
-def _eval_pair(m, p):
-    """Value of ``m`` at ``p`` as an unreduced pair ``(n, d)`` of ints, ``n/d``;
-    half-integer powers evaluate exactly on the square-root bases."""
+def _eval_pair(fields, p):
+    """Value at ``p`` of the weight with fields ``fields``, as an unreduced
+    pair ``(n, d)`` of ints, ``n/d``; half-integer powers evaluate exactly on
+    the square-root bases."""
     n = d = 1
-    for (a, b), e in _paired(m, p.bases):
+    for (a, b), e in _paired(fields, p.bases):
         if e > 0:
             n *= a ** e
             d *= b ** e
@@ -272,15 +273,17 @@ def _eval_pair(m, p):
 
 def eval_monomial(m, p):
     """Value of ``m`` at ``p``."""
-    return Fraction(*_eval_pair(m, p))
+    return Fraction(*_eval_pair(exponents(m), p))
 
 
 def _sqrt(m):
-    """``m**(1/2)`` for an integer weight ``m``: its doubled exponents are the
-    exponents of ``m``.  A genuine half-integer power has no exact root."""
-    if any(e % 2 for e in exponents(m)):
-        raise FractionalPowerError(f"{_weight_str(m)} is not an integer weight")
-    return m >> 1
+    """The fields of ``m**(1/2)`` for an integer weight ``m``: its doubled
+    exponents are the exponents of ``m``, so they are the fields of ``m``
+    halved.  A genuine half-integer power has no exact root."""
+    fields = exponents(m)
+    if any(e % 2 for e in fields):
+        raise FractionalPowerError(f"{_weight_str(fields)} is not an integer weight")
+    return tuple(e >> 1 for e in fields)
 
 
 def _bracket_pair(m, p):
@@ -303,39 +306,34 @@ def _product(V, p, weigh, what):
     ``weigh`` gives a weight's value as an unreduced int pair ``(a, b)`` with
     ``b != 0``.  Each weight is weighed once per point and its pair kept in
     ``p.values``; the numerators and denominators are multiplied as ints and
-    reduced once, in the returned ``Fraction``.  Every factor is weighed
-    before the result is decided, so it does not depend on the order of the
-    terms: a vanishing factor with negative multiplicity is a pole, and
-    otherwise a vanishing factor gives 0.
+    reduced once, in the returned ``Fraction``.  A nonzero fixed part is
+    reported before any weight is weighed.  Every factor is weighed before
+    the result is decided, so it does not depend on the order of the terms:
+    a vanishing factor with negative multiplicity is a pole, and otherwise a
+    vanishing factor gives 0.
     """
+    if 0 in V.terms:
+        raise TrivialWeightError("character has a nonzero fixed part")
     values = p.values
     num = den = 1
     pole = None
     zero = False
-    try:
-        for m, mult in V.terms.items():
-            x = values.get(m)
-            if x is None:
-                if not m:
-                    raise TrivialWeightError("character has a nonzero fixed part")
-                x = values[m] = weigh(m, p)
-            a, b = x
-            if not a:
-                if mult < 0 and pole is None:
-                    pole = m
-                zero = True
-            elif not zero:
-                if mult < 0:
-                    a, b, mult = b, a, -mult
-                num *= a ** mult
-                den *= b ** mult
-    except FractionalPowerError:
-        # a nonzero fixed part is reported first, wherever its term sits
-        if not V.fixed_part().is_zero():
-            raise TrivialWeightError("character has a nonzero fixed part") from None
-        raise
+    for m, mult in V.terms.items():
+        x = values.get(m)
+        if x is None:
+            x = values[m] = weigh(m, p)
+        a, b = x
+        if not a:
+            if mult < 0 and pole is None:
+                pole = m
+            zero = True
+        elif not zero:
+            if mult < 0:
+                a, b, mult = b, a, -mult
+            num *= a ** mult
+            den *= b ** mult
     if pole is not None:
-        raise PoleAtPointError(f"{what} pole at {_weight_str(pole)}")
+        raise PoleAtPointError(f"{what} pole at {_weight_str(exponents(pole))}")
     if zero:
         return Fraction(0)
     return Fraction(num, den)
@@ -399,10 +397,12 @@ def _adams_sums(y, order):
 def theta_eval(V, p, order):
     """Elliptic measure of a movable character, truncated at ``order`` in p.
 
-    Per weight, ``log theta(y) = log [y] - sum_{n,k>=1} (y^k + y^-k) p^(nk) / k``,
-    so the measure is the bracket of ``V`` times one plethystic exponential,
-    ``exp(-sum_M p^M sum_{k | M} S_k / k)``, where ``S_k = sum mult * (y^k + y^-k)``
-    is ``V`` at its k-th Adams power.  Its zeros and poles are the bracket's.
+    Per weight, ``theta(y) = [y] * Exp(-(y + 1/y) p/(1-p))``, so the measure is
+    the bracket of ``V`` times one plethystic exponential,
+    ``Exp(-(V + V^dual) p/(1-p))``: :func:`plethystic_exp` takes for its n-th
+    argument ``-S_n * (p + p^2 + ...)``, where ``S_n = sum mult * (y^n + y^-n)``
+    is ``V + V^dual`` at its n-th Adams power.  Its zeros and poles are the
+    bracket's.
     The per-weight twelfth powers of p are accumulated exactly; they must
     resolve to an integer power of p (automatic for rank-0 characters).
     """
@@ -424,12 +424,7 @@ def theta_eval(V, p, order):
             sums = values[(m, order)] = _adams_sums(eval_monomial(m, p), order)
         for k, a in enumerate(sums, start=1):
             S[k] += mult * a
-    log = [Fraction(0)] * (order + 1)
-    for k in range(1, order + 1):
-        s = S[k] / k
-        for M in range(k, order + 1, k):
-            log[M] -= s
-    val = QSeries(log).exp() * bracket
+    val = plethystic_exp(lambda n: QSeries([0] + [-S[n]] * order), order) * bracket
     shift = twelfths // 12
     if shift:
         val = val.shift(shift)

@@ -87,9 +87,12 @@ def factorized_Z(rvec, order, p):
     sign = (-1) ** (sum(rvec) + 1)
     out = QSeries.one(order)
     for i in range(1, 5):
+        if not rvec[i - 1]:
+            continue
+        z = rank1_Z(i, order, p)
         for l in range(1, rvec[i - 1] + 1):
             c = eval_monomial(factorization_scale(rvec, i, l), p)
-            out = out * rank1_Z(i, order, p).q_scale(c, sign)
+            out = out * z.q_scale(c, sign)
     return out
 
 

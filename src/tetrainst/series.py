@@ -19,7 +19,7 @@ class QSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least its constant term")
 
@@ -86,9 +86,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        return QSeries([c / scalar for c in self.coeffs])
-
     def invert(self):
         """Multiplicative inverse; the constant term must be nonzero."""
         c0 = self.coeffs[0]
@@ -136,19 +133,10 @@ class QSeries:
             out[n] = self.coeffs[n] - s / n
         return QSeries(out)
 
-    def stretch(self, n):
-        """Substitute ``q -> q^n``, truncated at the original order."""
-        out = [Fraction(0)] * (self.order + 1)
-        for k, c in enumerate(self.coeffs):
-            if k * n > self.order:
-                break
-            out[k * n] = c
-        return QSeries(out)
-
     def shift(self, k):
         """Multiply by ``q^k``; for negative ``k`` the low coefficients must vanish."""
         if k >= 0:
-            return QSeries((0,) * k + self.coeffs[: self.order + 1 - k])
+            return QSeries(((0,) * k + self.coeffs)[: self.order + 1])
         if any(self.coeffs[: -k]):
             raise ValueError("negative shift of a series with nonzero low-order terms")
         return QSeries(self.coeffs[-k:] + (0,) * (-k))
@@ -167,15 +155,20 @@ def plethystic_exp(coeff_fn, order):
 
     ``coeff_fn(n)`` must return ``f`` with all parameters already raised to
     the n-th power, as a :class:`QSeries` in the *original* variable q with
-    zero constant term; the ``q -> q^n`` substitution happens here.
+    zero constant term; the ``q -> q^n`` substitution happens here.  Its
+    coefficients past ``order`` are ignored and missing ones count as zero.
+    The log ``sum_n f_n(q^n)/n`` is collected in one list and exponentiated
+    once.  The closed K-theoretic form, the MacMahon power and the theta
+    measure are each one plethystic exponential and are exponentiated here.
     """
-    acc = QSeries.zero(order)
+    log = [Fraction(0)] * (order + 1)
     for n in range(1, order + 1):
-        f = coeff_fn(n).truncate(order)
-        if f.coeffs[0] != 0:
+        f = coeff_fn(n).coeffs
+        if f[0] != 0:
             raise BadConstantTermError("plethystic argument needs zero constant term")
-        acc = acc + f.stretch(n) / n
-    return acc.exp()
+        for k in range(1, min(len(f) - 1, order // n) + 1):
+            log[n * k] += f[k] / n
+    return QSeries(log).exp()
 
 
 def macmahon(order):
@@ -187,18 +180,15 @@ def macmahon(order):
 
 
 def macmahon_power(alpha, order):
-    """``M(q)**alpha`` for an arbitrary rational exponent ``alpha``.
+    """``M(q)**alpha = Exp(alpha q/(1-q)**2)`` for a rational exponent ``alpha``.
 
-    ``log M(q) = sum_m sigma_2(m)/m q^m``, with ``sigma_2(m)`` the sum of the
-    squares of the divisors of ``m``; this route is independent of the
-    product form :func:`macmahon`.
+    The argument ``alpha * sum_k k q^k`` has no parameter to raise to the n-th
+    power, so every ``coeff_fn(n)`` is the same series.  This route is
+    independent of the product form :func:`macmahon`.
     """
-    sigma2 = [0] * (order + 1)
-    for d in range(1, order + 1):
-        for m in range(d, order + 1, d):
-            sigma2[m] += d * d
     alpha = Fraction(alpha)
-    return QSeries([0] + [alpha * sigma2[m] / m for m in range(1, order + 1)]).exp()
+    f = QSeries([k * alpha for k in range(order + 1)])
+    return plethystic_exp(lambda n: f, order)
 
 
 class QPSeries:

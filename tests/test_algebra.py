@@ -5,7 +5,7 @@ from math import prod
 from operator import add
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from tetrainst.algebra import (
     FIELD_BITS,
@@ -124,7 +124,7 @@ _half_fields = st.lists(st.integers(-(2**20), 2**20), max_size=6)
 
 @given(_half_fields.filter(lambda h: any(e < 0 for e in h)))
 def test_sqrt_halves_every_field(halves):
-    assert _sqrt(_packed(2 * e for e in halves)) == _packed(halves)
+    assert _sqrt(_packed(2 * e for e in halves)) == exponents(_packed(halves))
 
 
 @given(_half_fields, st.integers(0, 5), st.integers(-(2**20), 2**20))
@@ -618,9 +618,13 @@ def test_measures_are_multiplicative(A, B, which):
     assert measure(A + B, point()) == measure(A, p) * measure(B, p)
 
 
-@given(_rank0_characters, st.integers(0, 5), st.integers(0, 5))
-def test_theta_truncation_consistent(V, low, high):
+# rank 24 shifts the series by p^2, past the whole series at order 0
+@example(Character.zero(), 12, 0, 5)
+@example(Character.zero(), 24, 0, 5)
+@given(_rank0_characters, st.sampled_from([0, 12, 24]), st.integers(0, 5), st.integers(0, 5))
+def test_theta_truncation_consistent(V, rank, low, high):
     assume(V.fixed_part().is_zero())
+    V = V + Character.of(t_monomial(1), rank)
     low, high = sorted((low, high))
     p = _generic_point()
     assert theta_eval(V, p, high).truncate(low) == theta_eval(V, p, low)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tetrainst import series
 from tetrainst.series import (
@@ -75,13 +75,19 @@ def test_pow_multiplies_only_as_often_as_needed(monkeypatch):
         assert got == want
 
 
-def test_stretch_and_shift():
+def test_shift():
     f = QSeries([1, 2, 3, 0, 0, 0])
-    assert f.stretch(2) == QSeries([1, 0, 2, 0, 3, 0])
     assert f.shift(1).coeffs[:3] == (Fraction(0), Fraction(1), Fraction(2))
     with pytest.raises(ValueError):
         f.shift(-1)
     assert QSeries([0, 0, 5, 7]).shift(-2) == QSeries([5, 7, 0, 0])
+    # a shift past the whole series leaves zeros of the same order
+    for order in range(4):
+        f = QSeries(range(1, order + 2))
+        for k in range(order + 4):
+            g = f.shift(k)
+            assert g.order == order
+            assert g.coeffs == ((0,) * k + f.coeffs)[: order + 1]
 
 
 def test_q_scale():
@@ -128,6 +134,21 @@ def test_plethystic_exp_additive():
         return f(n) + g(n)
 
     assert plethystic_exp(both, 5) == plethystic_exp(f, 5) * plethystic_exp(g, 5)
+
+
+@example([1], 6)  # shorter than the order
+@example([1, -2, 0, 3, -1, 2, 1], 3)  # longer than the order
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=7), st.integers(0, 6))
+def test_plethystic_exp_matches_the_product_route(cs, order):
+    # Exp(sum_k c_k q^k) = prod_k (1 - q^k)^(-c_k); no parameter, so every
+    # plethystic power of the argument is the argument itself
+    f = QSeries([0, *cs])
+    want = QSeries.one(order)
+    for k, c in enumerate(cs, start=1):
+        want = want * QSeries.binomial(-1, k, order) ** -c
+    got = plethystic_exp(lambda n: f, order)
+    assert got == want
+    assert all(type(c) is Fraction for c in got.coeffs)
 
 
 def test_macmahon_coefficients():
