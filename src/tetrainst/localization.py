@@ -15,14 +15,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
-    Character,
     CohPoint,
     EvalPoint,
     PoleAtPointError,
     SamplerExhaustedError,
     bracket_eval,
     euler_eval,
-    t_monomial,
     theta_eval,
 )
 from .formulas import check_kappa_identity, closed_Z_K, closed_Z_coh, factorized_Z
@@ -65,6 +63,14 @@ class CheckReport:
         self.details.append({"passed": bool(ok), **info})
         if not ok:
             self.passed = False
+
+    def sample(self, fn, seed, mode):
+        """``fn(point)`` at the first pole-free point of ``mode`` drawn from
+        ``seed`` for this report's rank vector, tallied as one point used."""
+        result, _, tries = sample_until(fn, seed, self.rvec, mode)
+        self.points_tried += tries
+        self.points_used += 1
+        return result
 
 
 def _series_strings(f):
@@ -197,12 +203,8 @@ def _series_elliptic(rvec, order, p_order, point):
     }
 
 
-# mode -> (kind of point to sample, the report's series at a point)
-MODES = {
-    "k": ("k", _series_k),
-    "coh": ("coh", _series_coh),
-    "elliptic": ("k", _series_elliptic),
-}
+# mode -> the report's series at a point of that mode
+MODES = {"k": _series_k, "coh": _series_coh, "elliptic": _series_elliptic}
 
 
 def sample_series(rvec, order, mode, seed, p_order=None):
@@ -211,8 +213,8 @@ def sample_series(rvec, order, mode, seed, p_order=None):
     Returns ``(series, point, tries)`` as :func:`sample_until` does; ``series``
     maps each route's name to its coefficient strings.
     """
-    kind, series_at = MODES[mode]
-    return sample_until(lambda point: series_at(rvec, order, p_order, point), seed, rvec, kind)
+    series_at = MODES[mode]
+    return sample_until(lambda point: series_at(rvec, order, p_order, point), seed, rvec, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +240,15 @@ def _sign_identities(config):
     characters do not depend on the point."""
     fp, minus_v = _characters(config)
     vt = tilde_vertex(fp)
-    Qd, K_leg = fp.Q.dual(), fp.K_leg
-    extra = Character.sum(K_leg[i - 1] * Character.of(t_monomial(i)) * Qd for i in range(1, 5))
+    extra = fp.T * fp.Q.dual()
     sign = -1 if configuration_sign(config) else 1
     out = [(sign, extra - vt, minus_v)]
 
     for (i, l), pp in config.slots():
         Z = fp.Z[(i, l)]
-        lhs_char = Z - PBAR[4] * Z * Z.dual()
-        rhs_char = Z - PBAR[i] * Z * Z.dual()
+        ZZ = Z * Z.dual()
+        lhs_char = Z - PBAR[4] * ZZ
+        rhs_char = Z - PBAR[i] * ZZ
         s = -1 if sign_rho(embed_to_solid(pp, i)) else 1
         out.append((s, lhs_char, rhs_char))
 
@@ -276,14 +278,8 @@ def run_sign_sweep(rvec, max_size, seed, num_points=3):
     configs = []
     for n in range(max_size + 1):
         configs.extend(enumerate_configurations(rvec, n))
-
-    def run(point):
-        return all(check_sign_identity(c, point) for c in configs)
-
     for idx in range(num_points):
-        ok, _, tries = sample_until(run, seed + idx, rvec, "k")
-        report.points_tried += tries
-        report.points_used += 1
+        ok = report.sample(lambda point: all(check_sign_identity(c, point) for c in configs), seed + idx, "k")
         report.record(ok, point_index=idx, configurations=len(configs))
     report.record(check_rho_tilde_vanishes(max_size), check="rho-tilde-vanishing")
     return report
@@ -298,13 +294,12 @@ def verify_main(rvec, order, seed, num_points=5, mode="k"):
     if mode not in ("k", "coh"):
         raise ValueError(f"verify_main supports modes k and coh, not {mode!r}")
     report = CheckReport(f"main-{mode}", tuple(rvec), order, seed)
+    series_at = MODES[mode]
     for idx in range(num_points):
-        series, _, tries = sample_series(rvec, order, mode, seed + idx)
+        series = report.sample(lambda point: series_at(rvec, order, None, point), seed + idx, mode)
         # Fraction strings are in lowest terms, so equal strings mean equal values
         ok = all(f == series["closed"] for f in series.values())
         report.record(ok, point_index=idx, **series)
-        report.points_tried += tries
-        report.points_used += 1
     return report
 
 
@@ -327,9 +322,7 @@ def check_framing_independence(rvec, order, seed, num_framings=3):
             )
         return [Z_loc_K(rvec, order, q) for q in variants]
 
-    series, _, tries = sample_until(run, seed, rvec, "k")
-    report.points_tried = tries
-    report.points_used = 1
+    series = report.sample(run, seed, "k")
     base = series[0]
     for idx, f in enumerate(series[1:], start=1):
         report.record(f == base, framing_index=idx, series=_series_strings(f))

@@ -3,7 +3,8 @@
 Plane partitions are finite order ideals in Z^3_{>=0}.  They are enumerated
 through their height-function description: a table ``h[a][b]`` of positive
 column heights, weakly decreasing along rows and columns, with total size n.
-Enumeration per size is memoized for the life of the process.
+Enumeration of plane partitions per size, and of configurations per rank
+vector and size, is memoized for the life of the process.
 """
 
 from __future__ import annotations
@@ -154,15 +155,19 @@ def _compositions(n, parts):
 
 
 def enumerate_configurations(rvec, n):
-    """All configurations with the given rank vector and total size ``n``."""
-    rvec = rank_vector(rvec)
-    r = sum(rvec)
+    """All configurations with the given rank vector and total size ``n``, as
+    a tuple built once per ``(rvec, n)`` for the life of the process."""
+    return _configurations(rank_vector(rvec), n)
+
+
+@lru_cache(maxsize=None)
+def _configurations(rvec, n):
     configs = []
-    for comp in _compositions(n, r):
+    for comp in _compositions(n, sum(rvec)):
         for choice in product(*(enumerate_plane_partitions(k) for k in comp)):
             slots = iter(choice)
             configs.append(Configuration(rvec, tuple(tuple(islice(slots, ri)) for ri in rvec)))
-    return configs
+    return tuple(configs)
 
 
 def embed_to_solid(pp, i):

@@ -1,10 +1,10 @@
 """Equivariant characters attached to a torus-fixed point.
 
 Given a configuration of plane partitions, this module builds the quotient
-character Q, the framing characters K_i, the virtual tangent character and
-the vertex term (a chosen square root of the virtual tangent), together with
-its block decomposition and the rank-agnostic tilde variant used by the sign
-rule.
+character Q, the framing character K, its leg-twisted form T, the virtual
+tangent character and the vertex term (a chosen square root of the virtual
+tangent), together with its block decomposition and the rank-agnostic tilde
+variant used by the sign rule.
 """
 
 from __future__ import annotations
@@ -38,27 +38,23 @@ class FixedPointData:
     ``Z`` and ``w`` are keyed by the framing slots ``(i, l)`` in the order of
     ``Configuration.slots()``: ``Z`` holds each slot's partition character (in
     the t-variables only) and ``w`` its framing weight, ``w_k`` for the k-th
-    slot.  Q, K and their per-leg parts are sums of these, derived on read.
+    slot.  Q, K, T and the leg prefixes of Q are sums of these, derived on read.
     """
 
     Z: dict  # (i, l) -> Character
     w: dict  # (i, l) -> packed weight
 
-    def _Q(self, legs):
+    def Q_upto(self, k):
+        """The leg prefix ``Q_1 + ... + Q_k`` of Q, where ``Q_i = sum_l w_il * Z_il``."""
         # the slots' weights differ, so no two slots share a term
         return Character(
-            {w + m: c for (i, l), w in self.w.items() if i in legs for m, c in self.Z[(i, l)].terms.items()}
+            {w + m: c for (i, l), w in self.w.items() if i <= k for m, c in self.Z[(i, l)].terms.items()}
         )
 
     @property
     def Q(self):
         """``Q = sum_il w_il * Z_il``."""
-        return self._Q(range(1, 5))
-
-    @property
-    def Q_leg(self):
-        """``Q_i = sum_l w_il * Z_il`` for ``i = 1..4``."""
-        return tuple(self._Q((i,)) for i in range(1, 5))
+        return self.Q_upto(4)
 
     @property
     def K(self):
@@ -66,9 +62,9 @@ class FixedPointData:
         return Character(dict.fromkeys(self.w.values(), 1))
 
     @property
-    def K_leg(self):
-        """``K_i = sum_l w_il`` for ``i = 1..4``."""
-        return tuple(Character({w: 1 for (j, _), w in self.w.items() if j == i}) for i in range(1, 5))
+    def T(self):
+        """``T = sum_il w_il * t_i``, the framing twisted by its leg's t."""
+        return Character({w + t_monomial(i): 1 for (i, _), w in self.w.items()})
 
 
 def partition_character(pp, i):
@@ -94,15 +90,9 @@ def build_fixed_point(config):
 
 def virtual_tangent(fp):
     """Virtual tangent character at the fixed point (rank zero)."""
-    Q, K, K_leg = fp.Q, fp.K, fp.K_leg
+    Q, K, T = fp.Q, fp.K, fp.T
     Qd = Q.dual()
-    return Character.sum([
-        K.dual() * Q,
-        K * Qd,
-        -char_P({1, 2, 3, 4}) * Q * Qd,
-        *(-K_leg[i - 1] * Character.of(t_monomial(i)) * Qd for i in range(1, 5)),
-        *(-K_leg[i - 1].dual() * Character.of(t_monomial(i, -1)) * Q for i in range(1, 5)),
-    ])
+    return Character.sum([K.dual() * Q, K * Qd, -char_P({1, 2, 3, 4}) * Q * Qd, -T * Qd, -T.dual() * Q])
 
 
 def ambient_tangent(fp):
@@ -114,15 +104,11 @@ def ambient_tangent(fp):
 
 def obstruction_fiber(fp):
     """Fiber character of the orthogonal bundle cutting out the moduli space."""
-    Q, K_leg = fp.Q, fp.K_leg
+    Q, T = fp.Q, fp.T
     Qd = Q.dual()
     # the six weights t_i^(-1) t_j^(-1), i < j, are distinct
     lam2 = Character({t_monomial(i, -1) + t_monomial(j, -1): 1 for i in range(1, 5) for j in range(i + 1, 5)})
-    return Character.sum([
-        lam2 * Q * Qd,
-        *(K_leg[i - 1] * Character.of(t_monomial(i)) * Qd for i in range(1, 5)),
-        *(K_leg[i - 1].dual() * Character.of(t_monomial(i, -1)) * Q for i in range(1, 5)),
-    ])
+    return Character.sum([lam2 * Q * Qd, T * Qd, T.dual() * Q])
 
 
 def virtual_tangent_via_ambient(fp):
@@ -134,29 +120,31 @@ def virtual_tangent_via_ambient(fp):
 def vertex(fp):
     """The vertex term: a square root of the virtual tangent character.
 
+    ``v = Kbar Q - T Qbar - sum_{i,j} Pbar_{max(i,j)^} Q_j Qbar_i``, built from
+    Q, K, T and the leg prefixes ``C_k = Q_1 + ... + Q_k``: the pairs with
+    ``max(i,j) = k`` add up to ``C_k Cbar_k - C_{k-1} Cbar_{k-1}``.
     ``v + dual(v) == virtual_tangent(fp)`` and ``v`` has empty fixed part;
     a nonzero fixed part signals an internal bug and raises.
     """
-    Q, K, Q_leg, K_leg = fp.Q, fp.K, fp.Q_leg, fp.K_leg
-    Qd = Q.dual()
-    Qd_leg = [Qi.dual() for Qi in Q_leg]
-    # v = Kbar Q - sum_j K_j t_j Qbar - sum_{i,j} Pbar_{max(i,j)^} Q_j Qbar_i
+    Q = fp.Q
+    CC = [Character.zero()]  # CC[k] = C_k Cbar_k
+    for k in range(1, 5):
+        C = fp.Q_upto(k)
+        CC.append(C * C.dual())
     v = Character.sum([
-        K.dual() * Q,
-        *(-K_leg[j - 1] * Character.of(t_monomial(j)) * Qd for j in range(1, 5)),
-        *(-PBAR[max(i, j)] * Q_leg[j - 1] * Qd_leg[i - 1] for i in range(1, 5) for j in range(1, 5)),
+        fp.K.dual() * Q,
+        -fp.T * Q.dual(),
+        *(-PBAR[k] * (CC[k] - CC[k - 1]) for k in range(1, 5)),
     ])
     if not v.fixed_part().is_zero():
         raise NotMovableError("vertex term has a nonzero fixed part")
     return v
 
 
-def _half_block(fp, i, l, j, k, pleg=None):
+def _half_block(fp, i, l, j, k, pleg):
     # w_il^(-1) w_jk (Z_jk - kappa_j^(-1) Zbar_il - Pbar_{p1p2p3} Z_jk Zbar_il)
-    # where the P-factor is indexed by pleg (default j); for a mixed-leg pair
-    # both orientations share the P-factor of the larger leg.
-    if pleg is None:
-        pleg = j
+    # where the P-factor is indexed by pleg; for a same-leg pair that is the
+    # leg, for a mixed-leg pair both orientations take the larger leg.
     wfac = Character.of(fp.w[(j, k)] - fp.w[(i, l)])
     Zjk = fp.Z[(j, k)]
     Zil_d = fp.Z[(i, l)].dual()
@@ -173,9 +161,9 @@ def vertex_block(fp, i, l, j, k):
     if (i, l) > (j, k):
         raise ValueError("slot pair must be lexicographically ordered")
     if i == j:
-        block = _half_block(fp, i, l, j, k)
+        block = _half_block(fp, i, l, j, k, pleg=j)
         if l != k:
-            block = block + _half_block(fp, i, k, j, l)
+            block = block + _half_block(fp, i, k, j, l, pleg=j)
         return block
     return _half_block(fp, i, l, j, k, pleg=j) + _half_block(fp, j, k, i, l, pleg=j)
 

@@ -75,6 +75,14 @@ def test_configuration_counts():
             assert len(enumerate_configurations(tuple(rvec), n)) == mm.coefficient(n)
 
 
+def test_configurations_are_built_once_per_rank_vector_and_size():
+    configs = enumerate_configurations([1, 1, 0, 0], 2)
+    assert isinstance(configs, tuple)
+    assert enumerate_configurations((1, 1, 0, 0), 2) is configs
+    assert enumerate_configurations(("1", "1", "0", "0"), 2) is configs
+    assert enumerate_configurations((1, 1, 0, 0), 1) is not configs
+
+
 def test_configuration_shape_validation():
     with pytest.raises(ValueError):
         Configuration((1, 0, 0, 0), ((), (), (), ()))

@@ -77,8 +77,18 @@ def test_slots_get_framing_weights_in_slot_order():
             for k, ((i, l), pp) in enumerate(config.slots()):
                 Q = Q + Character.of(w_monomial(k)) * partition_character(pp, i)
             assert fp.Q == Q
-            assert sum(fp.Q_leg, Character.zero()) == fp.Q
-            assert sum(fp.K_leg, Character.zero()) == fp.K
+            assert fp.Q_upto(4) == fp.Q
+            assert fp.Q_upto(0).is_zero()
+            for k in range(1, 5):
+                leg = Character.zero()
+                for s, ((i, _), pp) in enumerate(config.slots()):
+                    if i == k:
+                        leg = leg + Character.of(w_monomial(s)) * partition_character(pp, i)
+                assert fp.Q_upto(k) - fp.Q_upto(k - 1) == leg
+            T = Character.zero()
+            for s, ((i, _), _) in enumerate(config.slots()):
+                T = T + Character.of(w_monomial(s) + t_monomial(i))
+            assert fp.T == T
             assert fp.K.rank() == sum(rvec)
 
 
@@ -131,12 +141,10 @@ def test_square_root_and_movability():
 
 
 def test_K_t_Qbar_is_movable():
+    # T Qbar = sum_i K_i t_i Qbar
     for config in configs_up_to((1, 0, 1, 0), 3):
         fp = build_fixed_point(config)
-        for i in range(1, 5):
-            ti = Character.of(t_monomial(i))
-            part = fp.K_leg[i - 1] * ti * fp.Q.dual()
-            assert part.fixed_part().is_zero()
+        assert (fp.T * fp.Q.dual()).fixed_part().is_zero()
 
 
 def test_empty_config_everything_vanishes():
