@@ -35,7 +35,8 @@ class TrivialWeightError(ValueError):
 
 
 class PoleAtPointError(ArithmeticError):
-    """A denominator weight evaluates to zero at the chosen point."""
+    """A factor of a measure vanishes at the point, in the numerator or the
+    denominator: the point is degenerate, to be resampled, never scored."""
 
 
 class FractionalPowerError(ValueError):
@@ -182,6 +183,13 @@ class Character:
         return "Character(" + " + ".join(f"{c}*{_weight_str(f)}" for f, (_, c) in items) + ")"
 
 
+def _rational(x):
+    """A point's coordinate as a ``Fraction``; a float is inexact, so rejected."""
+    if isinstance(x, float):
+        raise ValueError(f"point coordinates must be exact rationals, got the float {x!r}")
+    return Fraction(x)
+
+
 class EvalPoint:
     """Exact rational values for the square roots of all base variables.
 
@@ -197,20 +205,16 @@ class EvalPoint:
     """
 
     def __init__(self, sqrt_t3, sqrt_w=()):
-        a1, a2, a3 = (Fraction(a) for a in sqrt_t3)
+        a1, a2, a3 = map(_rational, sqrt_t3)
         if a1 * a2 * a3 == 0:
             raise ValueError("square-root bases must be nonzero")
         a4 = 1 / (a1 * a2 * a3)
         self.sqrt_t = (a1, a2, a3, a4)
-        self.sqrt_w = tuple(Fraction(b) for b in sqrt_w)
+        self.sqrt_w = tuple(map(_rational, sqrt_w))
         if any(b == 0 for b in self.sqrt_w):
             raise ValueError("square-root bases must be nonzero")
         self.bases = tuple((b.numerator, b.denominator) for b in (a1, a2, a3, *self.sqrt_w))
         self.values = {}
-
-    def powered(self, n):
-        """The point with every base raised to the n-th power (plethysm)."""
-        return EvalPoint([a ** n for a in self.sqrt_t[:3]], [b ** n for b in self.sqrt_w])
 
     def with_sqrt_w(self, sqrt_w):
         return EvalPoint(self.sqrt_t[:3], sqrt_w)
@@ -231,9 +235,9 @@ class CohPoint:
     """
 
     def __init__(self, s3, v=()):
-        s1, s2, s3_ = (Fraction(s) for s in s3)
+        s1, s2, s3_ = map(_rational, s3)
         self.s = (s1, s2, s3_, -(s1 + s2 + s3_))
-        self.v = tuple(Fraction(x) for x in v)
+        self.v = tuple(map(_rational, v))
         roots = (s1, s2, s3_, *self.v)
         D = lcm(*(s.denominator for s in roots))
         self.denominator = D
@@ -289,53 +293,43 @@ def _sqrt(m):
 def _bracket_pair(m, p):
     """``[m] = m^(1/2) - m^(-1/2)`` at ``p``: with ``m^(1/2) = n/d`` it is the
     unreduced pair ``(n*n - d*d, n*d)``."""
-    if not m:
-        raise TrivialWeightError("bracket of the trivial weight is undefined")
     n, d = _eval_pair(_sqrt(m), p)
     return n * n - d * d, n * d
 
 
 def bracket_monomial(m, p):
     """``[m] = m^(1/2) - m^(-1/2)`` evaluated at ``p``."""
-    return Fraction(*_bracket_pair(m, p))
+    return _product(Character.of(m), p, _bracket_pair, "bracket")
 
 
 def _product(V, p, weigh, what):
-    """``prod weigh(m, p) ** mult`` over the terms of a movable character.
+    """``prod weigh(m, p) ** mult`` over the terms of a movable character;
+    the one place a measure is evaluated and a point found degenerate.
 
     ``weigh`` gives a weight's value as an unreduced int pair ``(a, b)`` with
     ``b != 0``.  Each weight is weighed once per point and its pair kept in
-    ``p.values``; the numerators and denominators are multiplied as ints and
-    reduced once, in the returned ``Fraction``.  A nonzero fixed part is
-    reported before any weight is weighed.  Every factor is weighed before
-    the result is decided, so it does not depend on the order of the terms:
-    a vanishing factor with negative multiplicity is a pole, and otherwise a
-    vanishing factor gives 0.
+    ``p.values``; the pairs are multiplied as ints, swapped for a negative
+    multiplicity, and reduced once.  A nonzero fixed part is reported before
+    any weight is weighed, and every factor is weighed before the result is
+    decided, so it does not depend on the order of the terms: a vanishing
+    factor, up or down, makes the point degenerate (:class:`PoleAtPointError`).
     """
     if 0 in V.terms:
         raise TrivialWeightError("character has a nonzero fixed part")
     values = p.values
     num = den = 1
-    pole = None
-    zero = False
     for m, mult in V.terms.items():
         x = values.get(m)
         if x is None:
             x = values[m] = weigh(m, p)
         a, b = x
-        if not a:
-            if mult < 0 and pole is None:
-                pole = m
-            zero = True
-        elif not zero:
-            if mult < 0:
-                a, b, mult = b, a, -mult
-            num *= a ** mult
-            den *= b ** mult
-    if pole is not None:
-        raise PoleAtPointError(f"{what} pole at {_weight_str(exponents(pole))}")
-    if zero:
-        return Fraction(0)
+        if mult < 0:
+            a, b, mult = b, a, -mult
+        num *= a ** mult
+        den *= b ** mult
+    if not (num and den):
+        m = next(m for m in V.terms if not values[m][0])
+        raise PoleAtPointError(f"{what} factor {_weight_str(exponents(m))} vanishes")
     return Fraction(num, den)
 
 
@@ -343,7 +337,7 @@ def bracket_eval(V, p):
     """Multiplicative extension of the bracket to a movable character.
 
     Raises :class:`TrivialWeightError` if ``V`` has a nonzero fixed part and
-    :class:`PoleAtPointError` if a negative-multiplicity factor vanishes.
+    :class:`PoleAtPointError` if any factor vanishes.
     """
     return _product(V, p, _bracket_pair, "bracket")
 
@@ -356,7 +350,7 @@ def _euler_pair(m, p):
 
 def euler_monomial(m, p):
     """The equivariant first Chern class ``mu . s`` of an integer weight."""
-    return Fraction(*_euler_pair(m, p))
+    return _product(Character.of(m), p, _euler_pair, "Euler-class")
 
 
 def euler_eval(V, p):
@@ -372,8 +366,6 @@ def theta_monomial(m, p, order):
     constant term is ``bracket_monomial(m, p)``.  This is the product-form
     route that :func:`theta_eval`'s plethystic form is tested against.
     """
-    if not m:
-        raise TrivialWeightError("theta measure of the trivial weight is undefined")
     y = eval_monomial(m, p)
     f = QSeries.constant(bracket_monomial(m, p), order)
     for n in range(1, order + 1):
@@ -401,8 +393,8 @@ def theta_eval(V, p, order):
     the bracket of ``V`` times one plethystic exponential,
     ``Exp(-(V + V^dual) p/(1-p))``: :func:`plethystic_exp` takes for its n-th
     argument ``-S_n * (p + p^2 + ...)``, where ``S_n = sum mult * (y^n + y^-n)``
-    is ``V + V^dual`` at its n-th Adams power.  Its zeros and poles are the
-    bracket's.
+    is ``V + V^dual`` at its n-th Adams power.  A vanishing factor of the
+    bracket makes the point degenerate.
     The per-weight twelfth powers of p are accumulated exactly; they must
     resolve to an integer power of p (automatic for rank-0 characters).
     """
@@ -414,8 +406,6 @@ def theta_eval(V, p, order):
             f"aggregate elliptic prefactor p^({twelfths}/12) is not an integer power"
         )
     bracket = _product(V, p, _bracket_pair, "theta")
-    if not bracket:
-        return QSeries.zero(order)
     values = p.values
     S = [Fraction(0)] * (order + 1)
     for m, mult in V.terms.items():

@@ -118,7 +118,13 @@ def compute(rvec, order, mode, p_order, seed, out):
 @main.command()
 @click.option("--suite", default="all", type=click.Choice(["main", "signs", "framing", "euler", "kappa", "all"]))
 @click.option("--rvec", default="0,0,0,1", help="rank vector, e.g. 1,1,0,0")
-@click.option("--order", default=2, type=click.IntRange(0))
+@click.option(
+    "--order",
+    default=2,
+    type=click.IntRange(0),
+    help="q-order N; the signs suite runs to min(N, 3) and the kappa suite to max(N, 6), "
+    "and each check's own order is reported",
+)
 @click.option("--mode", default="k", type=click.Choice(["k", "coh"]))
 @click.option("--seed", default=0, type=int)
 @click.option("--points", default=3, type=click.IntRange(1))

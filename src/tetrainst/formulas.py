@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Character, bracket_eval, bracket_monomial, eval_monomial, monomial, t_monomial
+from .algebra import Character, bracket_eval, bracket_monomial, euler_eval, eval_monomial, monomial, t_monomial
 from .partitions import rank_vector
 from .series import QSeries, macmahon_power, plethystic_exp
 
@@ -49,12 +49,12 @@ def closed_Z_K(rvec, order, p):
     if not kap:
         return QSeries.one(order)
 
+    # the n-th Adams power of a weight m is n*m, since the packing is linear
     def body(n):
-        pn = p.powered(n)
-        a_val = bracket_eval(_A_CHAR, pn)
+        a_val = bracket_eval(Character({n * m: c for m, c in _A_CHAR.terms.items()}), p)
         coeffs = [Fraction(0)]
         for m in range(1, order + 1):
-            coeffs.append(a_val * bracket_monomial(m * kap, pn))
+            coeffs.append(a_val * bracket_monomial(n * m * kap, p))
         return QSeries(coeffs)
 
     g = plethystic_exp(body, order)
@@ -97,13 +97,11 @@ def factorized_Z(rvec, order, p):
 
 
 def closed_Z_coh(rvec, order, p):
-    """Cohomological closed form: a rational power of the MacMahon series."""
+    """Cohomological closed form: the MacMahon series to the power minus
+    ``r . s`` times the Euler class of the ``A`` that :func:`closed_Z_K` brackets."""
     rvec = rank_vector(rvec)
-    s1, s2, s3, s4 = p.s
-    if s1 * s2 * s3 * s4 == 0:
-        raise ZeroDivisionError("Chern roots must have nonzero product")
     rs = sum(ri * si for ri, si in zip(rvec, p.s))
-    alpha = -(s1 + s2) * (s1 + s3) * (s2 + s3) * rs / (s1 * s2 * s3 * s4)
+    alpha = -euler_eval(_A_CHAR, p) * rs
     return macmahon_power(alpha, order).q_scale(sign=(-1) ** sum(rvec))
 
 

@@ -65,8 +65,8 @@ class CheckReport:
             self.passed = False
 
     def sample(self, fn, seed, mode):
-        """``fn(point)`` at the first pole-free point of ``mode`` drawn from
-        ``seed`` for this report's rank vector, tallied as one point used."""
+        """``fn(point)`` at the first non-degenerate point of ``mode`` drawn
+        from ``seed`` for this report's rank vector, tallied as one point used."""
         result, _, tries = sample_until(fn, seed, self.rvec, mode)
         self.points_tried += tries
         self.points_used += 1
@@ -118,10 +118,12 @@ def sample_point(seed, rvec, mode="k"):
 
 
 def sample_until(fn, seed, rvec, mode="k", max_tries=SAMPLER_MAX_TRIES):
-    """Run ``fn(point)`` on freshly drawn points until it avoids all poles.
+    """Run ``fn(point)`` on freshly drawn points until one is not degenerate.
 
-    Returns ``(result, point, tries)``; raises :class:`SamplerExhaustedError`
-    after the retry cap.  Deterministic given the seed.
+    At a degenerate point, where a factor of a measure vanishes, ``fn``
+    raises :class:`PoleAtPointError` and the next point is drawn.  Returns
+    ``(result, point, tries)``; raises :class:`SamplerExhaustedError` after
+    the retry cap.  Deterministic given the seed.
     """
     rng = random.Random(seed)
     for attempt in range(1, max_tries + 1):

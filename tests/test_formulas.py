@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from tetrainst.algebra import Character, CohPoint, EvalPoint, bracket_eval, eval_monomial, monomial, t_monomial
+from tetrainst.algebra import (
+    Character,
+    CohPoint,
+    EvalPoint,
+    PoleAtPointError,
+    bracket_eval,
+    eval_monomial,
+    monomial,
+    t_monomial,
+)
 from tetrainst.formulas import (
     check_kappa_identity,
     closed_Z_K,
@@ -120,6 +129,12 @@ def test_closed_Z_coh_first_coefficient():
     p = CohPoint((1, 2, 3))
     f = closed_Z_coh((0, 0, 0, 1), 1, p)
     assert f.coefficient(1) == 10
+
+
+def test_closed_Z_coh_degenerate_point():
+    # s4 = 0: a denominator factor of A vanishes, so the point is degenerate
+    with pytest.raises(PoleAtPointError):
+        closed_Z_coh((0, 0, 0, 1), 2, CohPoint((1, 2, -3), (5,)))
 
 
 def test_closed_Z_coh_ignores_framing_components():

@@ -5,10 +5,13 @@ assigned but never read, and a function, class or method that no code in the
 package or its tests reads, are left behind when code around them goes away.
 
 Characters are shared by the caches, so outside ``algebra.py`` no code may
-write into a character's ``terms`` dict.
+write into a character's ``terms`` dict.  The benchmark's tracer wraps the
+functions ``perfbench/workloads.json`` names per layer, so each must exist.
 """
 
 import ast
+import importlib
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -158,6 +161,17 @@ def test_no_dead_definitions():
     package = [_tree(p) for p in sorted(SRC.glob("*.py"))]
     tests = [_tree(p) for p in sorted(TESTS.glob("*.py"))]
     assert dead_definitions(package, tests) == set()
+
+
+def test_perfbench_spans_exist():
+    layers = json.loads((TESTS.parent / "perfbench" / "workloads.json").read_text())["layers"]
+    missing = [
+        f"{layer}.{name}"
+        for layer, spec in layers.items()
+        for name in spec.get("spans", ())
+        if not callable(getattr(importlib.import_module(f"tetrainst.{layer}"), name, None))
+    ]
+    assert missing == []
 
 
 def test_the_scan_finds_dead_names():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetrainst import localization
-from tetrainst.algebra import CohPoint, EvalPoint, SamplerExhaustedError
+from tetrainst.algebra import CohPoint, EvalPoint, PoleAtPointError, SamplerExhaustedError
 from tetrainst.formulas import closed_Z_K, closed_Z_coh
 from tetrainst.localization import (
     Z_loc_K,
@@ -45,8 +45,6 @@ def test_sample_point_invariants():
 
 
 def test_sample_until_retries_poles():
-    from tetrainst.algebra import PoleAtPointError
-
     calls = []
 
     def flaky(point):
@@ -60,13 +58,20 @@ def test_sample_until_retries_poles():
 
 
 def test_sample_until_exhausts():
-    from tetrainst.algebra import PoleAtPointError
-
     def always(point):
         raise PoleAtPointError("synthetic")
 
     with pytest.raises(SamplerExhaustedError):
         sample_until(always, 5, (0, 0, 0, 1), max_tries=4)
+
+
+def test_a_vanishing_factor_makes_the_point_degenerate():
+    # a1 * a2 == 1 makes [t1 t2] vanish.  Scored as 0, it would make both
+    # routes 1 + 0q + 0q^2 and agree without testing anything.
+    for route in (closed_Z_K, Z_loc_K):
+        p = EvalPoint((Fraction(3, 5), Fraction(5, 3), 7), (Fraction(2, 9), Fraction(11, 4)))
+        with pytest.raises(PoleAtPointError):
+            route((1, 1, 0, 0), 2, p)
 
 
 def test_Z_loc_constant_term():
