@@ -25,9 +25,10 @@ torus representation).  The three localization measures act on characters:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import lcm, prod
 
-from .series import QSeries, plethystic_exp
+from .series import QSeries, plethystic_exp, rational
 
 
 class TrivialWeightError(ValueError):
@@ -183,13 +184,6 @@ class Character:
         return "Character(" + " + ".join(f"{c}*{_weight_str(f)}" for f, (_, c) in items) + ")"
 
 
-def _rational(x):
-    """A point's coordinate as a ``Fraction``; a float is inexact, so rejected."""
-    if isinstance(x, float):
-        raise ValueError(f"point coordinates must be exact rationals, got the float {x!r}")
-    return Fraction(x)
-
-
 class EvalPoint:
     """Exact rational values for the square roots of all base variables.
 
@@ -197,20 +191,18 @@ class EvalPoint:
     form of the Calabi-Yau relation) and one positive rational per w-slot.
     ``bases`` keeps the integer ``(numerator, denominator)`` pair of each
     square-root base that a weight's fields refer to: t1, t2, t3, then each
-    w-slot.  ``values`` holds the measures' per-weight values at this point,
-    filled lazily: under a weight its bracket as an unreduced int pair, and
-    under ``(weight, order)`` the Adams sums ``y**k + y**-k`` for
-    ``k = 1..order`` that the theta measure adds up.  A derived point is built
-    afresh, with its own bases and an empty ``values``.
+    w-slot.  ``values`` holds each weight's bracket at this point as an
+    unreduced int pair, filled lazily.  A derived point is built afresh, with
+    its own bases and an empty ``values``.
     """
 
     def __init__(self, sqrt_t3, sqrt_w=()):
-        a1, a2, a3 = map(_rational, sqrt_t3)
+        a1, a2, a3 = map(rational, sqrt_t3)
         if a1 * a2 * a3 == 0:
             raise ValueError("square-root bases must be nonzero")
         a4 = 1 / (a1 * a2 * a3)
         self.sqrt_t = (a1, a2, a3, a4)
-        self.sqrt_w = tuple(map(_rational, sqrt_w))
+        self.sqrt_w = tuple(map(rational, sqrt_w))
         if any(b == 0 for b in self.sqrt_w):
             raise ValueError("square-root bases must be nonzero")
         self.bases = tuple((b.numerator, b.denominator) for b in (a1, a2, a3, *self.sqrt_w))
@@ -235,9 +227,9 @@ class CohPoint:
     """
 
     def __init__(self, s3, v=()):
-        s1, s2, s3_ = map(_rational, s3)
+        s1, s2, s3_ = map(rational, s3)
         self.s = (s1, s2, s3_, -(s1 + s2 + s3_))
-        self.v = tuple(map(_rational, v))
+        self.v = tuple(map(rational, v))
         roots = (s1, s2, s3_, *self.v)
         D = lcm(*(s.denominator for s in roots))
         self.denominator = D
@@ -374,18 +366,6 @@ def theta_monomial(m, p, order):
     return f
 
 
-def _adams_sums(y, order):
-    """``[y**k + y**-k for k in 1..order]`` for a nonzero rational ``y``."""
-    out = []
-    yk = yinv = Fraction(1)
-    inv = 1 / y
-    for _ in range(order):
-        yk *= y
-        yinv *= inv
-        out.append(yk + yinv)
-    return out
-
-
 def theta_eval(V, p, order):
     """Elliptic measure of a movable character, truncated at ``order`` in p.
 
@@ -393,8 +373,12 @@ def theta_eval(V, p, order):
     the bracket of ``V`` times one plethystic exponential,
     ``Exp(-(V + V^dual) p/(1-p))``: :func:`plethystic_exp` takes for its n-th
     argument ``-S_n * (p + p^2 + ...)``, where ``S_n = sum mult * (y^n + y^-n)``
-    is ``V + V^dual`` at its n-th Adams power.  A vanishing factor of the
-    bracket makes the point degenerate.
+    is ``V + V^dual`` at its n-th Adams power.  Over the point's bases
+    ``a_j/b_j``, with ``E_j`` the largest ``|e_j|`` of V's weights' fields,
+    ``D = prod_j (a_j b_j)^E_j`` is a common denominator: a weight of value
+    ``n/d`` adds ``(n^2k + d^2k) s^k / D^k`` with the int
+    ``s = prod_j (a_j b_j)^(E_j - |e_j|)``, so each ``S_k`` is one Fraction.
+    The bracket comes first: a vanishing factor makes the point degenerate.
     The per-weight twelfth powers of p are accumulated exactly; they must
     resolve to an integer power of p (automatic for rank-0 characters).
     """
@@ -406,16 +390,16 @@ def theta_eval(V, p, order):
             f"aggregate elliptic prefactor p^({twelfths}/12) is not an integer power"
         )
     bracket = _product(V, p, _bracket_pair, "theta")
-    values = p.values
-    S = [Fraction(0)] * (order + 1)
-    for m, mult in V.terms.items():
-        sums = values.get((m, order))
-        if sums is None:
-            sums = values[(m, order)] = _adams_sums(eval_monomial(m, p), order)
-        for k, a in enumerate(sums, start=1):
-            S[k] += mult * a
+    rows = [(exponents(m), mult) for m, mult in V.terms.items()]
+    E = [max(map(abs, col)) for col in zip_longest(*(f for f, _ in rows), fillvalue=0)]
+    ab = [a * b for (a, b), _ in zip(p.bases, E)]
+    num = [0] * (order + 1)
+    for f, mult in rows:
+        n, d = _eval_pair(f, p)
+        s = prod(x ** (top - abs(e)) for x, top, e in zip_longest(ab, E, f, fillvalue=0))
+        for k in range(1, order + 1):
+            num[k] += mult * (n ** (2 * k) + d ** (2 * k)) * s ** k
+    D = prod(x ** top for x, top in zip(ab, E))
+    S = [Fraction(a, D ** k) for k, a in enumerate(num)]
     val = plethystic_exp(lambda n: QSeries([0] + [-S[n]] * order), order) * bracket
-    shift = twelfths // 12
-    if shift:
-        val = val.shift(shift)
-    return val
+    return val.shift(twelfths // 12)

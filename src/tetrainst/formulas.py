@@ -16,10 +16,11 @@ so the exponential body collapses to ``A * sum_m [kappa^m] q^m`` with the
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .algebra import Character, bracket_eval, bracket_monomial, euler_eval, eval_monomial, monomial, t_monomial
 from .partitions import rank_vector
-from .series import QSeries, macmahon_power, plethystic_exp
+from .series import QSeries, macmahon_power, plethystic_exp, rational
 
 
 def sgn(x):
@@ -133,22 +134,17 @@ def check_kappa_identity(sqrt_xs, order):
             = [X] / ([X^(1/2) q][X^(1/2) q^(-1)]),
 
     where ``q_i = q * prod_j x_j^(sgn(i-j)/2)`` and ``X = prod_i x_i``.
-    Returns True when the two expansions agree to the given order.
+    Returns True when the two expansions agree to the given order; a float
+    square root raises ``ValueError``.
     """
-    bs = [Fraction(b) for b in sqrt_xs]
+    bs = [rational(b) for b in sqrt_xs]
     if any(b <= 0 for b in bs):
         raise ValueError("square-root weights must be positive")
     lhs = [Fraction(0)] * (order + 1)
     for i, b in enumerate(bs):
-        c = Fraction(1)
-        for j, bj in enumerate(bs):
-            c *= bj ** sgn(i - j)
+        c = prod((bj ** sgn(i - j) for j, bj in enumerate(bs)), start=Fraction(1))
         for m in range(1, order + 1):
             lhs[m] += -(b ** m - b ** (-m)) * c ** m
-    B = Fraction(1)
-    for b in bs:
-        B *= b
-    rhs = [Fraction(0)] * (order + 1)
-    for m in range(1, order + 1):
-        rhs[m] = -(B ** m - B ** (-m))
+    B = prod(bs, start=Fraction(1))
+    rhs = [Fraction(0)] + [-(B ** m - B ** (-m)) for m in range(1, order + 1)]
     return QSeries(lhs) == QSeries(rhs)

@@ -15,6 +15,13 @@ class BadConstantTermError(ValueError):
     """log/invert need constant term 1 (or nonzero); exp needs constant 0."""
 
 
+def rational(x):
+    """``x`` as a ``Fraction``; a float is inexact, so it raises ``ValueError``."""
+    if isinstance(x, float):
+        raise ValueError(f"expected an exact rational, got the float {x!r}")
+    return Fraction(x)
+
+
 class QSeries:
     __slots__ = ("coeffs",)
 
@@ -180,13 +187,14 @@ def macmahon(order):
 
 
 def macmahon_power(alpha, order):
-    """``M(q)**alpha = Exp(alpha q/(1-q)**2)`` for a rational exponent ``alpha``.
+    """``M(q)**alpha = Exp(alpha q/(1-q)**2)`` for a rational exponent ``alpha``
+    (a float raises ``ValueError``).
 
     The argument ``alpha * sum_k k q^k`` has no parameter to raise to the n-th
     power, so every ``coeff_fn(n)`` is the same series.  This route is
     independent of the product form :func:`macmahon`.
     """
-    alpha = Fraction(alpha)
+    alpha = rational(alpha)
     f = QSeries([k * alpha for k in range(order + 1)])
     return plethystic_exp(lambda n: f, order)
 

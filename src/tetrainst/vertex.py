@@ -38,23 +38,18 @@ class FixedPointData:
     ``Z`` and ``w`` are keyed by the framing slots ``(i, l)`` in the order of
     ``Configuration.slots()``: ``Z`` holds each slot's partition character (in
     the t-variables only) and ``w`` its framing weight, ``w_k`` for the k-th
-    slot.  Q, K, T and the leg prefixes of Q are sums of these, derived on read.
+    slot.  Q, K and T are sums of these, derived on read; ``vertex`` reads
+    the slots themselves.
     """
 
     Z: dict  # (i, l) -> Character
     w: dict  # (i, l) -> packed weight
 
-    def Q_upto(self, k):
-        """The leg prefix ``Q_1 + ... + Q_k`` of Q, where ``Q_i = sum_l w_il * Z_il``."""
-        # the slots' weights differ, so no two slots share a term
-        return Character(
-            {w + m: c for (i, l), w in self.w.items() if i <= k for m, c in self.Z[(i, l)].terms.items()}
-        )
-
     @property
     def Q(self):
         """``Q = sum_il w_il * Z_il``."""
-        return self.Q_upto(4)
+        # the slots' weights differ, so no two slots share a term
+        return Character({w + m: c for s, w in self.w.items() for m, c in self.Z[s].terms.items()})
 
     @property
     def K(self):
@@ -120,23 +115,40 @@ def virtual_tangent_via_ambient(fp):
 def vertex(fp):
     """The vertex term: a square root of the virtual tangent character.
 
-    ``v = Kbar Q - T Qbar - sum_{i,j} Pbar_{max(i,j)^} Q_j Qbar_i``, built from
-    Q, K, T and the leg prefixes ``C_k = Q_1 + ... + Q_k``: the pairs with
-    ``max(i,j) = k`` add up to ``C_k Cbar_k - C_{k-1} Cbar_{k-1}``.
+    ``v = Kbar Q - T Qbar - sum_{i,j} Pbar_{max(i,j)^} Q_j Qbar_i``, collected
+    in one dict from the slots' terms: the ratios ``y - x`` of terms of Q_j and
+    Q_i are counted per ``k = max(i, j)``, and each count is multiplied by ``PBAR[k]``.
     ``v + dual(v) == virtual_tangent(fp)`` and ``v`` has empty fixed part;
     a nonzero fixed part signals an internal bug and raises.
     """
-    Q = fp.Q
-    CC = [Character.zero()]  # CC[k] = C_k Cbar_k
-    for k in range(1, 5):
-        C = fp.Q_upto(k)
-        CC.append(C * C.dual())
-    v = Character.sum([
-        fp.K.dual() * Q,
-        -fp.T * Q.dual(),
-        *(-PBAR[k] * (CC[k] - CC[k - 1]) for k in range(1, 5)),
-    ])
-    if not v.fixed_part().is_zero():
+    legs = {}  # leg i -> [(term of Q_i, multiplicity)]
+    for (i, l), w in fp.w.items():
+        legs.setdefault(i, []).extend((w + m, c) for m, c in fp.Z[(i, l)].terms.items())
+    Q = [xc for Qi in legs.values() for xc in Qi]
+    terms = {}
+    get = terms.get
+    for (i, _), w in fp.w.items():  # Kbar Q - T Qbar
+        wt = w + t_monomial(i)
+        for x, c in Q:
+            a, b = x - w, wt - x
+            terms[a] = get(a, 0) + c
+            terms[b] = get(b, 0) - c
+    ratios = {}  # k -> the terms of Q_j Qbar_i over the legs with max(i, j) = k
+    for i, Qi in legs.items():
+        for j, Qj in legs.items():
+            if Qi and Qj:
+                r = ratios.setdefault(max(i, j), {})
+                for x, cx in Qi:
+                    for y, cy in Qj:
+                        y -= x
+                        r[y] = r.get(y, 0) + cx * cy
+    for k, r in ratios.items():
+        for p, cp in PBAR[k].terms.items():
+            for m, c in r.items():
+                m += p
+                terms[m] = get(m, 0) - cp * c
+    v = Character(terms)
+    if 0 in v.terms:
         raise NotMovableError("vertex term has a nonzero fixed part")
     return v
 

@@ -579,6 +579,34 @@ def test_theta_matches_the_product_route_on_minus_the_vertex(rvec, max_size):
                 assert theta_eval(V, p, order) == _theta_by_products(V, p, order)
 
 
+# weights in two of the point's three w-slots; a doubled exponent that is odd
+# in any field makes a half-integer weight, which the bracket rejects
+_theta_weights = st.builds(
+    lambda t, w, half: monomial(tuple(e if half else 2 * e for e in t), tuple(2 * e for e in w)),
+    st.tuples(*[st.integers(-2, 2)] * 4),
+    st.tuples(*[st.integers(-1, 1)] * 2),
+    st.booleans(),
+).filter(bool)
+
+
+@example({t_monomial(1) + t_monomial(2, -1): -2}, 12, 3)
+@example({monomial((1, 0, 0, 0)): 1, t_monomial(3): -1}, 0, 2)
+@given(
+    st.dictionaries(_theta_weights, st.sampled_from([-3, -2, -1, 1, 2]), max_size=4),
+    st.sampled_from([0, 12]),
+    st.integers(0, 4),
+)
+def test_theta_matches_the_product_route_on_any_character(terms, rank, order):
+    # the anchor weight brings the rank to 0 or 12, so p^(rank/12) is an integer power
+    anchor = t_monomial(1) + w_monomial(1)
+    V = Character.sum([Character(terms), Character.of(anchor, rank - Character(terms).rank())])
+    assert V.rank() == rank
+    p = EvalPoint((Fraction(2, 3), Fraction(5, 7), Fraction(11, 2)), (Fraction(3, 5), 13, Fraction(17, 19)))
+    got = _outcome(lambda V, p: theta_eval(V, p, order), V, p)
+    assert got == _outcome(lambda V, p: _theta_by_products(V, p, order), V, p)
+    assert isinstance(got, QSeries) or got is FractionalPowerError
+
+
 def test_theta_zero_and_pole_in_either_term_order():
     # a1 = a2 makes [t1/t2] and [t2/t1] vanish, and with them their theta
     # series: the point is degenerate for both routes, in the numerator as in

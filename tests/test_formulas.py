@@ -164,6 +164,14 @@ def test_kappa_identity_rejects_nonpositive():
         check_kappa_identity([Fraction(-2)], 4)
 
 
+def test_kappa_identity_rejects_floats():
+    for sqrt_xs in ([0.1, 2.5], [Fraction(2), 1.5], [2.0]):
+        with pytest.raises(ValueError, match="float"):
+            check_kappa_identity(sqrt_xs, 3)
+    # ints and strings stay exact
+    assert check_kappa_identity([2, "5/3"], 4)
+
+
 def test_rank1_relation():
     for seed in range(5):
         val, _, _ = sample_until(rank1_relation_residual, 50 + seed, (0, 0, 0, 1))

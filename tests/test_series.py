@@ -162,6 +162,13 @@ def test_macmahon_power():
     assert macmahon_power(Fraction(1, 2), 5) ** 2 == macmahon(5)
 
 
+def test_macmahon_power_rejects_floats():
+    for alpha in (0.1, 2.0, -0.5):
+        with pytest.raises(ValueError, match="float"):
+            macmahon_power(alpha, 2)
+    assert macmahon_power("1/2", 5) == macmahon_power(Fraction(1, 2), 5)
+
+
 def test_macmahon_power_via_sigma2_matches_the_log_of_the_product(monkeypatch):
     alphas = [1, 2, Fraction(1, 2), Fraction(-7, 3), Fraction(123456789, 987)]
     want = {

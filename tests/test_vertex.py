@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from tetrainst.algebra import Character, t_monomial, w_monomial
 from tetrainst.partitions import Configuration, PlanePartition, enumerate_configurations
 from tetrainst.vertex import (
+    PBAR,
     ambient_tangent,
     build_fixed_point,
     char_P,
@@ -77,14 +80,6 @@ def test_slots_get_framing_weights_in_slot_order():
             for k, ((i, l), pp) in enumerate(config.slots()):
                 Q = Q + Character.of(w_monomial(k)) * partition_character(pp, i)
             assert fp.Q == Q
-            assert fp.Q_upto(4) == fp.Q
-            assert fp.Q_upto(0).is_zero()
-            for k in range(1, 5):
-                leg = Character.zero()
-                for s, ((i, _), pp) in enumerate(config.slots()):
-                    if i == k:
-                        leg = leg + Character.of(w_monomial(s)) * partition_character(pp, i)
-                assert fp.Q_upto(k) - fp.Q_upto(k - 1) == leg
             T = Character.zero()
             for s, ((i, _), _) in enumerate(config.slots()):
                 T = T + Character.of(w_monomial(s) + t_monomial(i))
@@ -154,6 +149,32 @@ def test_empty_config_everything_vanishes():
     assert tilde_vertex(fp).is_zero()
     assert ambient_tangent(fp).is_zero()
     assert obstruction_fiber(fp).is_zero()
+
+
+def _vertex_by_leg_prefixes(fp):
+    """The vertex from Q, K, T and the leg prefixes ``C_k = Q_1 + ... + Q_k``:
+    the pairs with ``max(i,j) = k`` add up to ``C_k Cbar_k - C_{k-1} Cbar_{k-1}``."""
+    CC = [Character.zero()]  # CC[k] = C_k Cbar_k
+    for k in range(1, 5):
+        C = Character.sum(
+            Character.of(w) * fp.Z[(i, l)] for (i, l), w in fp.w.items() if i <= k
+        )
+        CC.append(C * C.dual())
+    return Character.sum([
+        fp.K.dual() * fp.Q,
+        -fp.T * fp.Q.dual(),
+        *(-PBAR[k] * (CC[k] - CC[k - 1]) for k in range(1, 5)),
+    ])
+
+
+@pytest.mark.parametrize(
+    "rvec, max_size",
+    [((1, 1, 1, 1), 4), ((1, 1, 0, 0), 4), ((0, 0, 0, 1), 8), ((1, 1, 1, 0), 4), ((2, 1, 0, 1), 3)],
+)
+def test_vertex_matches_the_leg_prefix_formula(rvec, max_size):
+    for config in configs_up_to(rvec, max_size):
+        fp = build_fixed_point(config)
+        assert vertex(fp) == _vertex_by_leg_prefixes(fp)
 
 
 def test_diagonal_block_is_rank1_vertex():
