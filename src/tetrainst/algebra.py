@@ -3,9 +3,10 @@
 Every value is an exact rational; no floating point is used anywhere.  Values
 come out as ``fractions.Fraction``, but the measures multiply each weight's
 value as an unreduced ``(numerator, denominator)`` pair of ints and reduce
-once per character.  A weight is a Laurent monomial in the square roots of the
-equivariant parameters ``t1..t4`` (subject to ``t1*t2*t3*t4 == 1``) and of the
-framing parameters ``w_il``, that is a point of the torus' character lattice.
+once per character (the theta measure once per coefficient of its series).
+A weight is a Laurent monomial in the square roots of the equivariant
+parameters ``t1..t4`` (subject to ``t1*t2*t3*t4 == 1``) and of the framing
+parameters ``w_il``, that is a point of the torus' character lattice.
 Exponents are stored *doubled*, so the entry ``2*mu`` represents ``t**mu`` and
 half-integer powers remain in integer arithmetic.  :func:`monomial` packs the
 lattice vector of a weight into one int (t4 eliminated, one signed field per
@@ -26,9 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm, prod
+from math import factorial, lcm, prod
 
-from .series import QSeries, plethystic_exp, rational
+from .series import QSeries, exp_numerators, rational
 
 
 class TrivialWeightError(ValueError):
@@ -131,6 +132,14 @@ class Character:
         return cls(terms)
 
     @classmethod
+    def _of_nonzero(cls, terms):
+        """A character over ``terms``, whose multiplicities are all nonzero,
+        so ``__init__``'s filter would copy the dict for nothing."""
+        V = cls.__new__(cls)
+        V.terms = terms
+        return V
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -152,7 +161,7 @@ class Character:
         return Character.sum((self, -other))
 
     def __neg__(self):
-        return Character({m: -mult for m, mult in self.terms.items()})
+        return Character._of_nonzero({m: -mult for m, mult in self.terms.items()})
 
     def __mul__(self, other):
         terms = {}
@@ -163,7 +172,7 @@ class Character:
         return Character(terms)
 
     def dual(self):
-        return Character({-m: mult for m, mult in self.terms.items()})
+        return Character._of_nonzero({-m: mult for m, mult in self.terms.items()})
 
     def fixed_part(self):
         return Character({0: self.terms.get(0, 0)})
@@ -370,14 +379,16 @@ def theta_eval(V, p, order):
     """Elliptic measure of a movable character, truncated at ``order`` in p.
 
     Per weight, ``theta(y) = [y] * Exp(-(y + 1/y) p/(1-p))``, so the measure is
-    the bracket of ``V`` times one plethystic exponential,
-    ``Exp(-(V + V^dual) p/(1-p))``: :func:`plethystic_exp` takes for its n-th
-    argument ``-S_n * (p + p^2 + ...)``, where ``S_n = sum mult * (y^n + y^-n)``
-    is ``V + V^dual`` at its n-th Adams power.  Over the point's bases
-    ``a_j/b_j``, with ``E_j`` the largest ``|e_j|`` of V's weights' fields,
-    ``D = prod_j (a_j b_j)^E_j`` is a common denominator: a weight of value
-    ``n/d`` adds ``(n^2k + d^2k) s^k / D^k`` with the int
-    ``s = prod_j (a_j b_j)^(E_j - |e_j|)``, so each ``S_k`` is one Fraction.
+    the bracket of ``V`` times ``exp(-sum_M p^M sum_{k|M} S_k/k)``, where
+    ``S_k = sum mult * (y^k + y^-k)`` is ``V + V^dual`` at its k-th Adams
+    power.  Everything after the bracket is in ints over one graded
+    denominator.  Over the point's bases ``a_j/b_j``, with ``E_j`` the largest
+    ``|e_j|`` of V's weights' fields, ``D = prod_j (a_j b_j)^E_j``: a weight
+    of value ``n/d`` has ``s = D / (n d)`` an int and ``y^k + y^-k =
+    ((n^2 s)^k + (d^2 s)^k) / D^k``, so ``S_k = N_k / D^k`` with ints ``N_k``.
+    The log's numerators over ``M D^M`` are then the ints
+    ``-sum_{k|M} (M/k) N_k D^(M-k)``, and :func:`exp_numerators` turns them
+    into the ``G_n`` of coefficient ``n``, ``bracket * G_n / (n! D^n)``.
     The bracket comes first: a vanishing factor makes the point degenerate.
     The per-weight twelfth powers of p are accumulated exactly; they must
     resolve to an integer power of p (automatic for rank-0 characters).
@@ -392,14 +403,23 @@ def theta_eval(V, p, order):
     bracket = _product(V, p, _bracket_pair, "theta")
     rows = [(exponents(m), mult) for m, mult in V.terms.items()]
     E = [max(map(abs, col)) for col in zip_longest(*(f for f, _ in rows), fillvalue=0)]
-    ab = [a * b for (a, b), _ in zip(p.bases, E)]
-    num = [0] * (order + 1)
+    D = prod((a * b) ** top for (a, b), top in zip(p.bases, E))
+    N = [0] * (order + 1)
     for f, mult in rows:
         n, d = _eval_pair(f, p)
-        s = prod(x ** (top - abs(e)) for x, top, e in zip_longest(ab, E, f, fillvalue=0))
+        s = D // (n * d)
+        n2s, d2s = n * n * s, d * d * s
+        up = down = mult  # mult * (n^2 s)^k and mult * (d^2 s)^k
         for k in range(1, order + 1):
-            num[k] += mult * (n ** (2 * k) + d ** (2 * k)) * s ** k
-    D = prod(x ** top for x, top in zip(ab, E))
-    S = [Fraction(a, D ** k) for k, a in enumerate(num)]
-    val = plethystic_exp(lambda n: QSeries([0] + [-S[n]] * order), order) * bracket
+            up *= n2s
+            down *= d2s
+            N[k] += up + down
+    Dpow = [D**k for k in range(order + 1)]
+    lam = [0] + [
+        -sum((M // k) * N[k] * Dpow[M - k] for k in range(1, M + 1) if M % k == 0)
+        for M in range(1, order + 1)
+    ]
+    b_num, b_den = bracket.numerator, bracket.denominator
+    G = exp_numerators(lam)
+    val = QSeries([Fraction(b_num * g, b_den * factorial(n) * Dpow[n]) for n, g in enumerate(G)])
     return val.shift(twelfths // 12)

@@ -9,6 +9,7 @@ used for the elliptic partition function.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 
 class BadConstantTermError(ValueError):
@@ -165,8 +166,10 @@ def plethystic_exp(coeff_fn, order):
     zero constant term; the ``q -> q^n`` substitution happens here.  Its
     coefficients past ``order`` are ignored and missing ones count as zero.
     The log ``sum_n f_n(q^n)/n`` is collected in one list and exponentiated
-    once.  The closed K-theoretic form, the MacMahon power and the theta
-    measure are each one plethystic exponential and are exponentiated here.
+    once, in ``Fraction``s.  The closed K-theoretic form is exponentiated
+    here; the theta measure and the MacMahon power have integer log
+    numerators over one graded denominator and go through
+    :func:`exp_numerators` instead.
     """
     log = [Fraction(0)] * (order + 1)
     for n in range(1, order + 1):
@@ -186,17 +189,42 @@ def macmahon(order):
     return out
 
 
+def exp_numerators(lam):
+    """The ints ``G_0..G_N`` with ``exp(sum_M lam[M] y^M / M) = sum_n G_n y^n / n!``.
+
+    ``lam[0]`` is ignored and ``lam[1..N]`` must be ints.  From
+    ``(exp f)' = f' exp f``, ``G_n = sum_{j=1..n} lam[j] G_{n-j} (n-1)!/(n-j)!``
+    with ``G_0 = 1``; the falling factorial is an int, so nothing is divided.
+    A log ``sum_M L_M y^M`` with ``L_M = lam[M] / (M D^M)`` exponentiates to
+    the coefficients ``G_n / (n! D^n)``.
+    """
+    G = [1]
+    for n in range(1, len(lam)):
+        total, ff = 0, 1  # ff = (n-1)!/(n-j)!
+        for j in range(1, n + 1):
+            total += lam[j] * G[n - j] * ff
+            ff *= n - j
+        G.append(total)
+    return G
+
+
 def macmahon_power(alpha, order):
     """``M(q)**alpha = Exp(alpha q/(1-q)**2)`` for a rational exponent ``alpha``
     (a float raises ``ValueError``).
 
-    The argument ``alpha * sum_k k q^k`` has no parameter to raise to the n-th
-    power, so every ``coeff_fn(n)`` is the same series.  This route is
-    independent of the product form :func:`macmahon`.
+    The log is ``sum_M alpha sigma_2(M) q^M / M``; with ``alpha = a/b`` its
+    numerators over ``M b^M`` are the ints ``a sigma_2(M) b^(M-1)``, so
+    :func:`exp_numerators` gives the coefficients ``G_n / (n! b^n)``.  This
+    route is independent of the product form :func:`macmahon`.
     """
     alpha = rational(alpha)
-    f = QSeries([k * alpha for k in range(order + 1)])
-    return plethystic_exp(lambda n: f, order)
+    a, b = alpha.numerator, alpha.denominator
+    sigma2 = [0] * (order + 1)
+    for d in range(1, order + 1):
+        for M in range(d, order + 1, d):
+            sigma2[M] += d * d
+    lam = [0] + [a * sigma2[M] * b ** (M - 1) for M in range(1, order + 1)]
+    return QSeries([Fraction(g, factorial(n) * b**n) for n, g in enumerate(exp_numerators(lam))])
 
 
 class QPSeries:

@@ -10,6 +10,7 @@ variant used by the sign rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import Character, NotMovableError, monomial, t_monomial, w_monomial
 
@@ -29,6 +30,16 @@ def char_P(index_set):
 
 # PBAR[k] is Pbar_{k^} = dual(P_I) for I the three indices other than k
 PBAR = {k: char_P(other_indices(k)).dual() for k in range(1, 5)}
+
+# T_WEIGHT[i] is the weight t_i, the leg twist of a slot on leg i
+T_WEIGHT = {i: t_monomial(i) for i in range(1, 5)}
+
+
+@lru_cache(maxsize=None)
+def slot_weights(nslots):
+    """The framing weights ``(w_0, ..., w_{nslots-1})`` in slot order, packed
+    once per slot count, since a rank vector may have any number of slots."""
+    return tuple(w_monomial(k) for k in range(nslots))
 
 
 @dataclass
@@ -59,7 +70,7 @@ class FixedPointData:
     @property
     def T(self):
         """``T = sum_il w_il * t_i``, the framing twisted by its leg's t."""
-        return Character({w + t_monomial(i): 1 for (i, _), w in self.w.items()})
+        return Character({w + T_WEIGHT[i]: 1 for (i, _), w in self.w.items()})
 
 
 def partition_character(pp, i):
@@ -76,11 +87,8 @@ def partition_character(pp, i):
 
 
 def build_fixed_point(config):
-    Z, w = {}, {}
-    for k, ((i, l), pp) in enumerate(config.slots()):
-        Z[(i, l)] = partition_character(pp, i)
-        w[(i, l)] = w_monomial(k)
-    return FixedPointData(Z, w)
+    Z = {s: partition_character(pp, s[0]) for s, pp in config.slots()}
+    return FixedPointData(Z, dict(zip(Z, slot_weights(len(Z)))))
 
 
 def virtual_tangent(fp):
@@ -128,7 +136,7 @@ def vertex(fp):
     terms = {}
     get = terms.get
     for (i, _), w in fp.w.items():  # Kbar Q - T Qbar
-        wt = w + t_monomial(i)
+        wt = w + T_WEIGHT[i]
         for x, c in Q:
             a, b = x - w, wt - x
             terms[a] = get(a, 0) + c
@@ -160,7 +168,7 @@ def _half_block(fp, i, l, j, k, pleg):
     wfac = Character.of(fp.w[(j, k)] - fp.w[(i, l)])
     Zjk = fp.Z[(j, k)]
     Zil_d = fp.Z[(i, l)].dual()
-    kappa_inv = Character.of(t_monomial(j))  # kappa_j^(-1) = t_j
+    kappa_inv = Character.of(T_WEIGHT[j])  # kappa_j^(-1) = t_j
     return wfac * (Zjk - kappa_inv * Zil_d - PBAR[pleg] * Zjk * Zil_d)
 
 

@@ -569,14 +569,42 @@ def _theta_by_products(V, p, order):
     return val.shift(V.rank() // 12)
 
 
+_THETA_POINTS = [
+    EvalPoint((Fraction(2, 3), Fraction(5, 7), Fraction(11, 2)), (Fraction(3, 5), 13, Fraction(17, 19))),
+    # negative square-root bases flip the signs of the brackets' factors
+    EvalPoint((Fraction(-3, 2), Fraction(5, 7), Fraction(-2, 9)), (Fraction(-11, 4), Fraction(3, 5))),
+]
+
+
 @pytest.mark.parametrize("rvec, max_size", [((1, 0, 0, 1), 3), ((1, 1, 0, 0), 2)])
 def test_theta_matches_the_product_route_on_minus_the_vertex(rvec, max_size):
-    p = EvalPoint((Fraction(2, 3), Fraction(5, 7), Fraction(11, 2)), (Fraction(3, 5), 13))
+    p = _THETA_POINTS[0]
     for n in range(max_size + 1):
         for config in enumerate_configurations(rvec, n):
             V = -vertex(build_fixed_point(config))
             for order in range(6):
                 assert theta_eval(V, p, order) == _theta_by_products(V, p, order)
+
+
+def test_theta_matches_the_product_route_at_negative_bases():
+    p = _THETA_POINTS[1]
+    for n in range(4):
+        for config in enumerate_configurations((1, 0, 0, 1), n):
+            V = -vertex(build_fixed_point(config))
+            assert theta_eval(V, p, 6) == _theta_by_products(V, p, 6)
+
+
+def test_theta_needs_no_series_product_and_no_fraction_exp(monkeypatch):
+    p = _THETA_POINTS[0]
+    chars = [-vertex(build_fixed_point(c)) for c in enumerate_configurations((1, 0, 0, 1), 2)]
+    want = [_theta_by_products(V, p, 4) for V in chars]
+
+    def forbidden(*args):
+        raise AssertionError("theta_eval must stay in ints until its coefficients")
+
+    monkeypatch.setattr(QSeries, "__mul__", forbidden)
+    monkeypatch.setattr(QSeries, "exp", forbidden)
+    assert [theta_eval(V, p, 4) for V in chars] == want
 
 
 # weights in two of the point's three w-slots; a doubled exponent that is odd
@@ -589,19 +617,21 @@ _theta_weights = st.builds(
 ).filter(bool)
 
 
-@example({t_monomial(1) + t_monomial(2, -1): -2}, 12, 3)
-@example({monomial((1, 0, 0, 0)): 1, t_monomial(3): -1}, 0, 2)
+@example({t_monomial(1) + t_monomial(2, -1): -2}, 12, 3, 0)
+@example({monomial((1, 0, 0, 0)): 1, t_monomial(3): -1}, 0, 2, 0)
+@example({t_monomial(1) + w_monomial(0): 2, t_monomial(2) + t_monomial(3, -1) - w_monomial(1): -3}, 12, 6, 1)
 @given(
     st.dictionaries(_theta_weights, st.sampled_from([-3, -2, -1, 1, 2]), max_size=4),
     st.sampled_from([0, 12]),
     st.integers(0, 4),
+    st.sampled_from(range(len(_THETA_POINTS))),
 )
-def test_theta_matches_the_product_route_on_any_character(terms, rank, order):
+def test_theta_matches_the_product_route_on_any_character(terms, rank, order, which):
     # the anchor weight brings the rank to 0 or 12, so p^(rank/12) is an integer power
     anchor = t_monomial(1) + w_monomial(1)
     V = Character.sum([Character(terms), Character.of(anchor, rank - Character(terms).rank())])
     assert V.rank() == rank
-    p = EvalPoint((Fraction(2, 3), Fraction(5, 7), Fraction(11, 2)), (Fraction(3, 5), 13, Fraction(17, 19)))
+    p = _THETA_POINTS[which]
     got = _outcome(lambda V, p: theta_eval(V, p, order), V, p)
     assert got == _outcome(lambda V, p: _theta_by_products(V, p, order), V, p)
     assert isinstance(got, QSeries) or got is FractionalPowerError

@@ -109,6 +109,7 @@ PINNED_REPORTS = [
     ("compute --rvec 0,0,0,1 --order 1 --mode elliptic --p-order 2 --seed 9", "e398b5a3adb220c3b85764cea5d623b1e52b68b14e10f9ac0d9e26bde3c145d8"),
     ("compute --rvec 1,0,0,1 --order 3 --mode elliptic --p-order 4 --seed 0", "c115c9731df1854aed5fb0eaa74df81fd8ab535b867983e11d04a2221d8bf418"),
     ("compute --rvec 2,0,1,0 --order 2 --mode elliptic --p-order 5 --seed 4", "1dd7ac7f751b962780a81bc8fba88b3d6ff9c3546d8682cc8964e7e0b487b9ff"),
+    ("compute --rvec 0,0,0,3 --order 4 --mode elliptic --p-order 6 --seed 0", "f6e1ce2de920ede62c22514f9c23f37eab41faff0ac416eb9a8c2820254dc0b4"),
     ("verify --suite main --rvec 1,1,0,0 --order 2 --points 2 --seed 1", "2a36afd42271adc702eb338e8c391420b7355605c8c8b411905477defe026f13"),
     ("verify --suite main --rvec 1,1,0,0 --order 2 --points 2 --mode coh --seed 1", "9a5d770f466c7561b93cf444b86b472df1aaa1fcb9c341e6718f143e6202cc4c"),
     ("verify --suite signs --rvec 0,0,0,1 --order 2 --points 2 --seed 1", "43bd813d2e4dc5218d16630d973769ccea1c2efe7904ea74792dafef4e4fe8d0"),

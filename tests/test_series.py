@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,6 +10,7 @@ from tetrainst.series import (
     BadConstantTermError,
     QPSeries,
     QSeries,
+    exp_numerators,
     macmahon,
     macmahon_power,
     plethystic_exp,
@@ -151,6 +153,17 @@ def test_plethystic_exp_matches_the_product_route(cs, order):
     assert all(type(c) is Fraction for c in got.coeffs)
 
 
+@example([], 1)
+@example([1], 1)  # exp(y) = sum y^n / n!, so every G_n is 1
+@given(st.lists(st.integers(-(10**6), 10**6), max_size=10), st.integers(1, 10**4))
+def test_exp_numerators_match_the_fraction_exp(lam, D):
+    # exp(sum_M lam_M y^M / (M D^M)) has the coefficients G_n / (n! D^n)
+    G = exp_numerators([0, *lam])
+    assert len(G) == len(lam) + 1 and all(type(g) is int for g in G)
+    want = QSeries([0, *(Fraction(c, M * D**M) for M, c in enumerate(lam, start=1))]).exp()
+    assert [Fraction(g, factorial(n) * D**n) for n, g in enumerate(G)] == list(want.coeffs)
+
+
 def test_macmahon_coefficients():
     assert [int(c) for c in macmahon(6).coeffs] == [1, 1, 3, 6, 13, 24, 48]
 
@@ -170,7 +183,7 @@ def test_macmahon_power_rejects_floats():
 
 
 def test_macmahon_power_via_sigma2_matches_the_log_of_the_product(monkeypatch):
-    alphas = [1, 2, Fraction(1, 2), Fraction(-7, 3), Fraction(123456789, 987)]
+    alphas = [0, 1, 2, Fraction(1, 2), Fraction(-7, 3), Fraction(123456789, 987), Fraction(-123457, 9876)]
     want = {
         (alpha, n): (Fraction(alpha) * macmahon(n).log()).exp()
         for alpha in alphas
@@ -178,10 +191,11 @@ def test_macmahon_power_via_sigma2_matches_the_log_of_the_product(monkeypatch):
     }
 
     def forbidden(*args):
-        raise AssertionError("macmahon_power must not take the product route")
+        raise AssertionError("macmahon_power must not take the product or the Fraction exp route")
 
     monkeypatch.setattr(series, "macmahon", forbidden)
     monkeypatch.setattr(QSeries, "log", forbidden)
+    monkeypatch.setattr(QSeries, "exp", forbidden)
     for (alpha, n), f in want.items():
         assert macmahon_power(alpha, n) == f
 
