@@ -13,6 +13,9 @@ lattice vector of a weight into one int (t4 eliminated, one signed field per
 remaining variable), so the product of two weights is the sum of their ints,
 the inverse is the negation, the trivial weight is ``0`` and an absent w-slot
 adds nothing.  Only this module knows the format; :func:`exponents` decodes it.
+A weight is decoded once per process: the measures read the square root of
+each weight from one cached row of its nonzero fields (:func:`_root`), and
+weigh it once per point, keeping the value in the point's ``values``.
 
 A :class:`Character` is a finite Z-linear combination of weights (a virtual
 torus representation).  The three localization measures act on characters:
@@ -26,7 +29,7 @@ torus representation).  The three localization measures act on characters:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from functools import lru_cache
 from math import factorial, lcm, prod
 
 from .series import QSeries, exp_numerators, rational
@@ -201,8 +204,9 @@ class EvalPoint:
     ``bases`` keeps the integer ``(numerator, denominator)`` pair of each
     square-root base that a weight's fields refer to: t1, t2, t3, then each
     w-slot.  ``values`` holds each weight's bracket at this point as an
-    unreduced int pair, filled lazily.  A derived point is built afresh, with
-    its own bases and an empty ``values``.
+    unreduced int pair, filled lazily, so a weight decoded once per process
+    is weighed once per point.  A derived point is built afresh, with its own
+    bases and an empty ``values``.
     """
 
     def __init__(self, sqrt_t3, sqrt_w=()):
@@ -231,8 +235,9 @@ class CohPoint:
     and the framing roots ``v``, and ``bases`` holds those roots times ``D``
     as ints, in the order of a weight's fields.  ``values`` holds the
     per-weight Euler classes at this point as unreduced int pairs, filled
-    lazily; a derived point is built afresh, with its own ``D``, bases and an
-    empty ``values``.
+    lazily, so a weight decoded once per process is weighed once per point;
+    a derived point is built afresh, with its own ``D``, bases and an empty
+    ``values``.
     """
 
     def __init__(self, s3, v=()):
@@ -252,49 +257,77 @@ class CohPoint:
         return f"CohPoint(s={self.s}, v={self.v})"
 
 
-def _paired(fields, bases):
-    """A weight's fields zipped with a point's bases for t1, t2, t3 and the
-    w-slots.  A weight with more fields than there are bases belongs to
-    another rank vector; truncating it would give a wrong value."""
-    if len(fields) > len(bases):
-        raise ValueError(f"weight {_weight_str(fields)} has more slots than the point")
-    return zip(bases, fields)
+def _beyond_the_point(m):
+    """The error for a weight with more fields than the point has bases: it
+    belongs to another rank vector, and truncating it would give a wrong
+    value."""
+    return ValueError(f"weight {_weight_str(exponents(m))} has more slots than the point")
 
 
-def _eval_pair(fields, p):
-    """Value at ``p`` of the weight with fields ``fields``, as an unreduced
-    pair ``(n, d)`` of ints, ``n/d``; half-integer powers evaluate exactly on
-    the square-root bases."""
+def eval_monomial(m, p):
+    """Value of ``m`` at ``p``; half-integer powers evaluate exactly on the
+    square-root bases."""
+    fields = exponents(m)
+    if len(fields) > len(p.bases):
+        raise _beyond_the_point(m)
     n = d = 1
-    for (a, b), e in _paired(fields, p.bases):
+    for (a, b), e in zip(p.bases, fields):
         if e > 0:
             n *= a ** e
             d *= b ** e
         elif e < 0:
             n *= b ** -e
             d *= a ** -e
-    return n, d
+    return Fraction(n, d)
 
 
-def eval_monomial(m, p):
-    """Value of ``m`` at ``p``."""
-    return Fraction(*_eval_pair(exponents(m), p))
-
-
-def _sqrt(m):
-    """The fields of ``m**(1/2)`` for an integer weight ``m``: its doubled
-    exponents are the exponents of ``m``, so they are the fields of ``m``
-    halved.  A genuine half-integer power has no exact root."""
+@lru_cache(maxsize=None)
+def _root(m):
+    """The square root of the integer weight ``m``, decoded once per process
+    into the flat tuple ``(nfields, k, h, k', h', ...)``: the number of
+    fields of ``m``, then (field ``k``, half its doubled exponent) for each
+    nonzero field.  A genuine half-integer power has no exact root; as
+    ``lru_cache`` keeps no failure, it raises on every call.
+    """
     fields = exponents(m)
-    if any(e % 2 for e in fields):
-        raise FractionalPowerError(f"{_weight_str(fields)} is not an integer weight")
-    return tuple(e >> 1 for e in fields)
+    row = [len(fields)]
+    for k, e in enumerate(fields):
+        if e:
+            if e & 1:
+                raise FractionalPowerError(f"{_weight_str(fields)} is not an integer weight")
+            row += (k, e >> 1)
+    return tuple(row)
+
+
+def _root_at(m, p):
+    """``m``'s cached root, checked against the bases of ``p``: a root
+    decoded at one point may be read at a point with fewer w-slots."""
+    row = _root(m)
+    if row[0] > len(p.bases):
+        raise _beyond_the_point(m)
+    return row
+
+
+def _root_pair(row, bases):
+    """The value ``n/d`` of the root ``row`` over the point's bases, as the
+    unreduced pair ``(n, d)`` of ints."""
+    n = d = 1
+    for i in range(1, len(row), 2):
+        a, b = bases[row[i]]
+        h = row[i + 1]
+        if h > 0:
+            n *= a ** h
+            d *= b ** h
+        else:
+            n *= b ** -h
+            d *= a ** -h
+    return n, d
 
 
 def _bracket_pair(m, p):
     """``[m] = m^(1/2) - m^(-1/2)`` at ``p``: with ``m^(1/2) = n/d`` it is the
     unreduced pair ``(n*n - d*d, n*d)``."""
-    n, d = _eval_pair(_sqrt(m), p)
+    n, d = _root_pair(_root_at(m, p), p.bases)
     return n * n - d * d, n * d
 
 
@@ -324,10 +357,18 @@ def _product(V, p, weigh, what):
         if x is None:
             x = values[m] = weigh(m, p)
         a, b = x
-        if mult < 0:
-            a, b, mult = b, a, -mult
-        num *= a ** mult
-        den *= b ** mult
+        if mult == 1:
+            num *= a
+            den *= b
+        elif mult == -1:
+            num *= b
+            den *= a
+        elif mult > 0:
+            num *= a ** mult
+            den *= b ** mult
+        else:
+            num *= b ** -mult
+            den *= a ** -mult
     if not (num and den):
         m = next(m for m in V.terms if not values[m][0])
         raise PoleAtPointError(f"{what} factor {_weight_str(exponents(m))} vanishes")
@@ -346,7 +387,12 @@ def bracket_eval(V, p):
 def _euler_pair(m, p):
     """The equivariant first Chern class ``mu . s`` of an integer weight, as
     the unreduced pair ``(sum D*s_k * mu_k, D)``."""
-    return sum(s * e for s, e in _paired(_sqrt(m), p.bases)), p.denominator
+    row = _root_at(m, p)
+    bases = p.bases
+    c = 0
+    for i in range(1, len(row), 2):
+        c += bases[row[i]] * row[i + 1]
+    return c, p.denominator
 
 
 def euler_monomial(m, p):
@@ -389,6 +435,8 @@ def theta_eval(V, p, order):
     The log's numerators over ``M D^M`` are then the ints
     ``-sum_{k|M} (M/k) N_k D^(M-k)``, and :func:`exp_numerators` turns them
     into the ``G_n`` of coefficient ``n``, ``bracket * G_n / (n! D^n)``.
+    ``E_j`` and each ``n/d`` come from the weights' cached roots
+    (:func:`_root`), doubled and squared.
     The bracket comes first: a vanishing factor makes the point degenerate.
     The per-weight twelfth powers of p are accumulated exactly; they must
     resolve to an integer power of p (automatic for rank-0 characters).
@@ -401,12 +449,19 @@ def theta_eval(V, p, order):
             f"aggregate elliptic prefactor p^({twelfths}/12) is not an integer power"
         )
     bracket = _product(V, p, _bracket_pair, "theta")
-    rows = [(exponents(m), mult) for m, mult in V.terms.items()]
-    E = [max(map(abs, col)) for col in zip_longest(*(f for f, _ in rows), fillvalue=0)]
-    D = prod((a * b) ** top for (a, b), top in zip(p.bases, E))
+    bases = p.bases
+    rows = [(_root_at(m, p), mult) for m, mult in V.terms.items()]
+    E = [0] * len(bases)  # the largest |h_j| of the roots, so E_j / 2
+    for row, _ in rows:
+        for i in range(1, len(row), 2):
+            k, h = row[i], abs(row[i + 1])
+            if h > E[k]:
+                E[k] = h
+    D = prod((a * b) ** (2 * top) for (a, b), top in zip(bases, E))
     N = [0] * (order + 1)
-    for f, mult in rows:
-        n, d = _eval_pair(f, p)
+    for row, mult in rows:
+        n, d = _root_pair(row, bases)
+        n, d = n * n, d * d
         s = D // (n * d)
         n2s, d2s = n * n * s, d * d * s
         up = down = mult  # mult * (n^2 s)^k and mult * (d^2 s)^k

@@ -15,7 +15,7 @@ from tetrainst.algebra import (
     FractionalPowerError,
     PoleAtPointError,
     TrivialWeightError,
-    _sqrt,
+    _root,
     bracket_eval,
     bracket_monomial,
     eval_monomial,
@@ -122,9 +122,24 @@ def test_packing_is_linear(ta, wa, tb, wb, n):
 _half_fields = st.lists(st.integers(-(2**20), 2**20), max_size=6)
 
 
+def _unrow(row):
+    """The fields of the root ``row``, as :func:`exponents` gives them."""
+    fields = [0] * row[0]
+    for k, h in zip(row[1::2], row[2::2]):
+        assert h and not fields[k]
+        fields[k] = h
+    return tuple(fields)
+
+
 @given(_half_fields.filter(lambda h: any(e < 0 for e in h)))
 def test_sqrt_halves_every_field(halves):
-    assert _sqrt(_packed(2 * e for e in halves)) == exponents(_packed(halves))
+    m = _packed(2 * e for e in halves)
+    row = _root(m)
+    assert type(row) is tuple and all(type(x) is int for x in row)
+    assert _unrow(row) == exponents(_packed(halves))
+    # the pairs name the nonzero fields only, in field order
+    assert list(row[1::2]) == [k for k, e in enumerate(halves) if e]
+    assert _root(m) is row
 
 
 @given(_half_fields, st.integers(0, 5), st.integers(-(2**20), 2**20))
@@ -132,7 +147,23 @@ def test_sqrt_rejects_any_odd_field(halves, k, odd):
     fields = [2 * e for e in halves] + [0] * (6 - len(halves))
     fields[k] = 2 * odd + 1
     with pytest.raises(FractionalPowerError):
-        _sqrt(_packed(fields))
+        _root(_packed(fields))
+
+
+def test_a_half_integer_weight_fails_on_every_call():
+    m = monomial((1, 0, 0, 0), (2,))
+    p, q = EvalPoint((2, 3, 5), (7,)), CohPoint((3, 5, 7), (2,))
+    for _ in range(2):
+        with pytest.raises(FractionalPowerError):
+            _root(m)
+        with pytest.raises(FractionalPowerError):
+            bracket_eval(Character.of(m), p)
+        with pytest.raises(FractionalPowerError):
+            euler_monomial(m, q)
+        with pytest.raises(FractionalPowerError):
+            theta_eval(Character({m: 1, t_monomial(1): -1}), p, 2)
+    # its double is an integer weight, and its root is m's fields
+    assert _unrow(_root(2 * m)) == exponents(m)
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -167,6 +198,25 @@ def test_weight_beyond_the_point_raises(nslots, slot):
                 measure(m, point)
         with pytest.raises(ValueError):
             bracket_eval(Character.of(m), p)
+
+
+def test_a_decoded_weight_is_checked_against_every_point():
+    # the weight's root is decoded at a 2-slot point, then read back from the
+    # cache at a 1-slot point, where it has no base for w-slot 1
+    m = w_monomial(1) + t_monomial(2)
+    _root.cache_clear()
+    measures = (
+        lambda V, slots: bracket_eval(V, EvalPoint((2, 3, 5), range(7, 7 + slots))),
+        lambda V, slots: euler_eval(V, CohPoint((3, 5, 7), range(2, 2 + slots))),
+        lambda V, slots: theta_eval(V, EvalPoint((2, 3, 5), range(7, 7 + slots)), 3),
+    )
+    for measure in measures:
+        V = Character({m: 1, t_monomial(1): -1})
+        measure(V, 2)
+        hits = _root.cache_info().hits
+        with pytest.raises(ValueError, match=r"weight t2\^\(1\)\*w\[1\]\^\(1\) has more slots"):
+            measure(V, 1)
+        assert _root.cache_info().hits > hits
 
 
 @given(_characters, _characters, _characters)

@@ -117,6 +117,8 @@ PINNED_REPORTS = [
     ("verify --suite signs --rvec 2,0,0,1 --order 2", "88ba1573cc11ccfd69a266e5c559fdbede2b5be33a04d49aab978499eb8d5b65"),
     ("verify --suite euler --r 1 --order 2", "0e1a294853761859ed8a30ceb8e647989f14fc2cca811dfa0f704cf5758165d8"),
     ("verify --suite kappa --order 2 --points 2 --seed 2", "cbb8824bfaf610add22863aab144764fc47ca00a79229dc8e90331de5b3c61b8"),
+    ("verify --suite framing --rvec 1,0,1,1 --order 3 --framings 4 --seed 2", "865e1b3236e28803c49ef5533175371b7e6ed1b1273987cf0197e51961c48991"),
+    ("verify --suite all --rvec 1,1,0,0 --order 4 --points 5 --framings 3 --seed 0", "3a7e5dea1d377f71ffd24135ba9cfb47a77cafdcefc70ca46695175dfca34cdf"),
 ]
 
 
