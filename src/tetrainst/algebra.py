@@ -109,8 +109,9 @@ def t_monomial(i, power=1):
 
 
 def w_monomial(slot):
-    """The framing weight ``w_slot``."""
-    return monomial((0, 0, 0, 0), (0,) * slot + (2,))
+    """The framing weight ``w_slot``: the doubled exponent 2 in the field after
+    t1, t2, t3 and the slots before it, since :func:`monomial` packs linearly."""
+    return 2 << (FIELD_BITS * (3 + slot))
 
 
 class Character:
@@ -393,11 +394,6 @@ def _euler_pair(m, p):
     for i in range(1, len(row), 2):
         c += bases[row[i]] * row[i + 1]
     return c, p.denominator
-
-
-def euler_monomial(m, p):
-    """The equivariant first Chern class ``mu . s`` of an integer weight."""
-    return _product(Character.of(m), p, _euler_pair, "Euler-class")
 
 
 def euler_eval(V, p):

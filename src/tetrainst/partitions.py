@@ -1,15 +1,14 @@
 """Plane partitions, configurations and the solid-partition sign counts.
 
 Plane partitions are finite order ideals in Z^3_{>=0}.  They are enumerated
-through their height-function description: a table ``h[a][b]`` of positive
-column heights, weakly decreasing along rows and columns, with total size n.
-Enumeration of plane partitions per size, and of configurations per rank
-vector and size, is memoized for the life of the process.
+by one rule in every dimension: an ideal of Z^d_{>=0} is a stack of ideals of
+Z^(d-1)_{>=0}, each inside the one below it, and an ideal of Z_{>=0} is a row
+``0..n-1``.  Enumeration of plane partitions per size, and of configurations
+per rank vector and size, is memoized for the life of the process.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
@@ -56,14 +55,24 @@ class SolidPartition(OrderIdeal):
     """An order ideal in Z^4_{>=0}."""
 
 
+def _rank(r):
+    """A rank as an int: an int but not a bool, or a string of ASCII digits
+    (whitespace around them may stay)."""
+    if isinstance(r, str) and r.strip().isascii() and r.strip().isdigit():
+        return int(r)
+    if isinstance(r, int) and not isinstance(r, bool):
+        return int(r)
+    raise TypeError(f"not a rank: {r!r}")
+
+
 def rank_vector(rvec):
     """``rvec`` as a tuple of four nonnegative ints; raises ``ValueError`` otherwise.
 
-    An entry is an int or a decimal string; a float or a ``Fraction`` is
-    rejected, not truncated.
+    A float, a ``Fraction`` or a bool is rejected, not truncated, and so is a
+    string such as ``"1_0"`` or ``"+1"``.
     """
     try:
-        rv = tuple(int(r) if isinstance(r, str) else operator.index(r) for r in rvec)
+        rv = tuple(map(_rank, rvec))
     except TypeError:
         rv = ()
     if len(rv) != 4 or min(rv) < 0:
@@ -98,32 +107,30 @@ class Configuration:
                 yield (i, l), p
 
 
-def _partitions_leq(bound, total):
-    """Weakly decreasing positive tuples summing to ``total``, componentwise
-    bounded by ``bound`` (``None`` = unbounded row length/heights)."""
-    if total == 0:
-        yield ()
-        return
-    first_cap = min(total, total if bound is None else (bound[0] if bound else 0))
-    for h in range(first_cap, 0, -1):
-        if bound is None:
-            rest_bound = (h,) * (total - h)
-        else:
-            rest_bound = tuple(min(h, b) for b in bound[1:])
-        for rest in _partitions_leq(rest_bound, total - h):
-            yield (h,) + rest
+def _boxes(stack):
+    """The boxes of a stack of layers, the k-th layer at first coordinate k."""
+    return ((k, *box) for k, layer in enumerate(stack) for box in layer)
 
 
-def _tables(bound, total):
-    """Height tables (tuples of rows) with row 1 bounded by ``bound``, each
-    row dominated by the previous one, summing to ``total``."""
-    if total == 0:
+@lru_cache(maxsize=None)
+def _ideals(d, n):
+    """All order ideals of size ``n`` in Z^d_{>=0}, as frozensets of boxes."""
+    if d == 1:
+        return (frozenset((a,) for a in range(n)),)
+    return tuple(frozenset(_boxes(stack)) for stack in _stacks(d - 1, n))
+
+
+def _stacks(d, n, below=None):
+    """Stacks of nonempty ideals of Z^d_{>=0}, each inside the one below it
+    and the first inside ``below`` if given, with sizes summing to ``n``."""
+    if n == 0:
         yield ()
         return
-    for m in range(total, 0, -1):
-        for row in _partitions_leq(bound, m):
-            for rest in _tables(row, total - m):
-                yield (row,) + rest
+    for m in range(n if below is None else min(n, len(below)), 0, -1):
+        for layer in _ideals(d, m):
+            if below is None or layer <= below:
+                for rest in _stacks(d, n - m, layer):
+                    yield (layer, *rest)
 
 
 @lru_cache(maxsize=None)
@@ -131,15 +138,7 @@ def enumerate_plane_partitions(n):
     """All plane partitions of size exactly ``n``, canonically ordered."""
     if n < 0:
         raise ValueError("size must be nonnegative")
-    result = []
-    for table in _tables(None, n):
-        boxes = [
-            (a, b, c)
-            for a, row in enumerate(table)
-            for b, h in enumerate(row)
-            for c in range(h)
-        ]
-        result.append(PlanePartition(boxes))
+    result = [PlanePartition(_boxes(stack)) for stack in _stacks(2, n)]
     result.sort(key=lambda p: p.boxes)
     return tuple(result)
 
@@ -157,7 +156,10 @@ def _compositions(n, parts):
 def enumerate_configurations(rvec, n):
     """All configurations with the given rank vector and total size ``n``, as
     a tuple built once per ``(rvec, n)`` for the life of the process."""
-    return _configurations(rank_vector(rvec), n)
+    rv = rank_vector(rvec)
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    return _configurations(rv, n)
 
 
 @lru_cache(maxsize=None)

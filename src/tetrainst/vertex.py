@@ -10,7 +10,6 @@ variant used by the sign rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import Character, NotMovableError, monomial, t_monomial, w_monomial
 
@@ -33,13 +32,6 @@ PBAR = {k: char_P(other_indices(k)).dual() for k in range(1, 5)}
 
 # T_WEIGHT[i] is the weight t_i, the leg twist of a slot on leg i
 T_WEIGHT = {i: t_monomial(i) for i in range(1, 5)}
-
-
-@lru_cache(maxsize=None)
-def slot_weights(nslots):
-    """The framing weights ``(w_0, ..., w_{nslots-1})`` in slot order, packed
-    once per slot count, since a rank vector may have any number of slots."""
-    return tuple(w_monomial(k) for k in range(nslots))
 
 
 @dataclass
@@ -88,7 +80,7 @@ def partition_character(pp, i):
 
 def build_fixed_point(config):
     Z = {s: partition_character(pp, s[0]) for s, pp in config.slots()}
-    return FixedPointData(Z, dict(zip(Z, slot_weights(len(Z)))))
+    return FixedPointData(Z, {s: w_monomial(k) for k, s in enumerate(Z)})
 
 
 def virtual_tangent(fp):

@@ -20,7 +20,6 @@ from tetrainst.algebra import (
     bracket_monomial,
     eval_monomial,
     euler_eval,
-    euler_monomial,
     exponents,
     monomial,
     t_monomial,
@@ -42,6 +41,13 @@ def test_canonicalize_relation():
     assert exponents(t_monomial(4)) == (-2, -2, -2)
     # already canonical stays put
     assert exponents(monomial((2, 0, 0, 0), (1,))) == (2, 0, 0, 1)
+
+
+def test_w_monomial_is_the_packed_framing_weight():
+    # w_monomial packs in closed form; monomial packs field by field
+    for slot in (0, 1, 2, 3, 7, 39):
+        assert w_monomial(slot) == monomial((0, 0, 0, 0), (0,) * slot + (2,))
+        assert exponents(w_monomial(slot)) == (0, 0, 0) + (0,) * slot + (2,)
 
 
 def test_canonical_idempotent_and_multiplicative():
@@ -159,7 +165,7 @@ def test_a_half_integer_weight_fails_on_every_call():
         with pytest.raises(FractionalPowerError):
             bracket_eval(Character.of(m), p)
         with pytest.raises(FractionalPowerError):
-            euler_monomial(m, q)
+            euler_eval(Character.of(m), q)
         with pytest.raises(FractionalPowerError):
             theta_eval(Character({m: 1, t_monomial(1): -1}), p, 2)
     # its double is an integer weight, and its root is m's fields
@@ -191,11 +197,12 @@ def test_weight_beyond_the_point_raises(nslots, slot):
     q = CohPoint((3, 5, 7), range(2, 2 + nslots))
     if slot < nslots:
         assert eval_monomial(m, p) == 4 * (7 + slot) ** 2
-        assert euler_monomial(m, q) == 3 + 2 + slot
+        assert euler_eval(Character.of(m), q) == 3 + 2 + slot
     else:
-        for measure, point in ((eval_monomial, p), (euler_monomial, q)):
-            with pytest.raises(ValueError):
-                measure(m, point)
+        with pytest.raises(ValueError):
+            eval_monomial(m, p)
+        with pytest.raises(ValueError):
+            euler_eval(Character.of(m), q)
         with pytest.raises(ValueError):
             bracket_eval(Character.of(m), p)
 
@@ -547,12 +554,12 @@ def test_euler_basics():
     p = CohPoint((3, 5, 7))
     assert p.s[3] == -15
     m = t_monomial(1) + t_monomial(2, -1)
-    assert euler_monomial(m, p) == 3 - 5
+    assert euler_eval(Character.of(m), p) == 3 - 5
     V = Character({t_monomial(1): 1, t_monomial(2): 1})
     assert euler_eval(V, p) == 15
     assert euler_eval(Character.of(t_monomial(1), -1), p) == Fraction(1, 3)
     with pytest.raises(TrivialWeightError):
-        euler_monomial(0, p)
+        euler_eval(Character.of(0), p)
 
 
 def test_euler_multiplicative():

@@ -60,6 +60,8 @@ def test_compute_invalid_rvec():
     assert run_cli(["compute", "--rvec", "1,2"]).exit_code == 2
     assert run_cli(["compute", "--rvec", "a,b,c,d"]).exit_code == 2
     assert run_cli(["compute", "--rvec", "1,-1,0,0"]).exit_code == 2
+    # int() would read "1_0" as rank 10
+    assert run_cli(["compute", "--rvec", "1_0,0,0,0"]).exit_code == 2
 
 
 def test_verify_main_suite():
@@ -119,6 +121,8 @@ PINNED_REPORTS = [
     ("verify --suite kappa --order 2 --points 2 --seed 2", "cbb8824bfaf610add22863aab144764fc47ca00a79229dc8e90331de5b3c61b8"),
     ("verify --suite framing --rvec 1,0,1,1 --order 3 --framings 4 --seed 2", "865e1b3236e28803c49ef5533175371b7e6ed1b1273987cf0197e51961c48991"),
     ("verify --suite all --rvec 1,1,0,0 --order 4 --points 5 --framings 3 --seed 0", "3a7e5dea1d377f71ffd24135ba9cfb47a77cafdcefc70ca46695175dfca34cdf"),
+    ("compute --rvec 0,0,0,1 --order 8 --seed 0", "a09967915fef718eb5961aedff231f2bb3aefd360ac0f834430f7418bec2bbdf"),
+    ("verify --suite euler --r 3 --order 6", "05a56b7f362f6eedbc09b41aaec7075bbb89f4299e4290115899e5a7418ff872"),
 ]
 
 

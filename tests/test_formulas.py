@@ -50,6 +50,15 @@ def test_rank_vector():
             kappa_rbar(bad)
         with pytest.raises(ValueError):
             enumerate_configurations(bad, 1)
+    # strings are ASCII digits, with whitespace around them at most
+    assert rank_vector([" 1", "0 ", "\t2\n", 0]) == (1, 0, 2, 0)
+    for bad in (("1_0", 0, 0, 0), ("+1", 0, 0, 0), ("-0", 0, 0, 0), ("\u0661", 0, 0, 0),
+                ("\uff11", 0, 0, 0), ("\u00b2", 0, 0, 0), ("", 0, 0, 0), ("1 0", 0, 0, 0),
+                (True, 0, 0, 0), (0, 0, 0, False)):
+        with pytest.raises(ValueError):
+            rank_vector(bad)
+        with pytest.raises(ValueError):
+            enumerate_configurations(bad, 1)
 
 
 def test_closed_Z_K_vanishing():

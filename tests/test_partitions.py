@@ -16,14 +16,14 @@ from tetrainst.series import macmahon, macmahon_power
 
 
 def test_counts_match_macmahon():
-    expected = [int(c) for c in macmahon(6).coeffs]
-    assert expected == [1, 1, 3, 6, 13, 24, 48]
+    expected = [int(c) for c in macmahon(10).coeffs]
+    assert expected == [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500]
     for n, want in enumerate(expected):
         assert len(enumerate_plane_partitions(n)) == want
 
 
 def test_enumerated_partitions_are_valid_and_unique():
-    for n in range(6):
+    for n in range(9):
         pps = enumerate_plane_partitions(n)
         assert len(set(pps)) == len(pps)
         for pp in pps:
@@ -100,6 +100,14 @@ def test_enumeration_rejects_a_negative_rank():
     # a negative rank has no compositions of n >= 1, so nothing would be summed
     with pytest.raises(ValueError):
         enumerate_configurations((1, -1, 0, 0), 1)
+    # a negative size is rejected as enumerate_plane_partitions rejects it,
+    # on every call, not answered with an empty tuple
+    for n in (-1, -3):
+        with pytest.raises(ValueError):
+            enumerate_plane_partitions(n)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                enumerate_configurations((0, 0, 0, 1), n)
 
 
 def test_embed_to_solid():
