@@ -106,6 +106,19 @@ class Configuration:
             for l, p in enumerate(leg, start=1):
                 yield (i, l), p
 
+    def parent(self):
+        """``(parent, slot, box)``: this configuration less ``box``, the
+        lexicographically largest box of its last nonempty slot, whose key
+        ``(i, l)`` is ``slot``.  No box dominates that box, so it is a corner
+        and the parent is a configuration of size one less.  Raises
+        ``ValueError`` on the empty configuration."""
+        for (i, l), pp in reversed(list(self.slots())):
+            if pp.boxes:
+                legs = [list(leg) for leg in self.legs]
+                legs[i - 1][l - 1] = PlanePartition(pp.boxes[:-1])
+                return Configuration(self.rvec, tuple(map(tuple, legs))), (i, l), pp.boxes[-1]
+        raise ValueError("the empty configuration has no parent")
+
 
 def _boxes(stack):
     """The boxes of a stack of layers, the k-th layer at first coordinate k."""

@@ -5,13 +5,18 @@ character Q, the framing character K, its leg-twisted form T, the virtual
 tangent character and the vertex term (a chosen square root of the virtual
 tangent), together with its block decomposition and the rank-agnostic tilde
 variant used by the sign rule.
+
+The vertex has two routes.  The direct one forms every ratio of two terms of
+Q.  The grown one adds a single box ``X`` to a configuration whose vertex is
+known, which changes the vertex by O(size) terms; the localization sums build
+every nonempty configuration that way, from ``Configuration.parent``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Character, NotMovableError, monomial, t_monomial, w_monomial
+from .algebra import Character, NotMovableError, t_monomial, w_monomial
 
 
 def other_indices(i):
@@ -42,7 +47,9 @@ class FixedPointData:
     ``Configuration.slots()``: ``Z`` holds each slot's partition character (in
     the t-variables only) and ``w`` its framing weight, ``w_k`` for the k-th
     slot.  Q, K and T are sums of these, derived on read; ``vertex`` reads
-    the slots themselves.
+    the slots themselves.  A fixed point built from its parent's shares the
+    ``w`` dict and the unchanged slots' characters with it; none of them is
+    changed in place.
     """
 
     Z: dict  # (i, l) -> Character
@@ -65,22 +72,32 @@ class FixedPointData:
         return Character({w + T_WEIGHT[i]: 1 for (i, _), w in self.w.items()})
 
 
+def box_weight(box, i):
+    """The weight ``t_{i1}^a t_{i2}^b t_{i3}^c`` of the box ``(a, b, c)`` on leg ``i``."""
+    return sum(e * T_WEIGHT[k] for k, e in zip(other_indices(i), box))
+
+
 def partition_character(pp, i):
     """``Z = sum_{(a,b,c) in pi} t_{i1}^a t_{i2}^b t_{i3}^c`` for leg ``i``."""
-    i1, i2, i3 = other_indices(i)
-    terms = {}
-    for (a, b, c) in pp:
-        texp = [0, 0, 0, 0]
-        texp[i1 - 1] = 2 * a
-        texp[i2 - 1] = 2 * b
-        texp[i3 - 1] = 2 * c
-        terms[monomial(texp)] = 1  # distinct boxes are distinct weights
-    return Character(terms)
+    # distinct boxes are distinct weights
+    return Character(dict.fromkeys((box_weight(box, i) for box in pp), 1))
 
 
-def build_fixed_point(config):
-    Z = {s: partition_character(pp, s[0]) for s, pp in config.slots()}
-    return FixedPointData(Z, {s: w_monomial(k) for k, s in enumerate(Z)})
+def build_fixed_point(config, parent=None):
+    """The slot data of ``config``.
+
+    Given ``parent = (parent_fp, slot, box)``, with ``parent_fp`` the data of
+    ``config.parent()`` and ``slot, box`` as that method returns them, only
+    that slot's character is new: it is the parent's plus the box's weight,
+    and every other slot's character and the framing weights are shared.
+    """
+    if parent is None:
+        Z = {s: partition_character(pp, s[0]) for s, pp in config.slots()}
+        return FixedPointData(Z, {s: w_monomial(k) for k, s in enumerate(Z)})
+    pfp, s, box = parent
+    Z = dict(pfp.Z)
+    Z[s] = Character({**Z[s].terms, box_weight(box, s[0]): 1})
+    return FixedPointData(Z, pfp.w)
 
 
 def virtual_tangent(fp):
@@ -112,7 +129,7 @@ def virtual_tangent_via_ambient(fp):
     return TA - obstruction_fiber(fp) + TA.dual()
 
 
-def vertex(fp):
+def vertex(fp, parent=None):
     """The vertex term: a square root of the virtual tangent character.
 
     ``v = Kbar Q - T Qbar - sum_{i,j} Pbar_{max(i,j)^} Q_j Qbar_i``, collected
@@ -120,7 +137,25 @@ def vertex(fp):
     Q_i are counted per ``k = max(i, j)``, and each count is multiplied by ``PBAR[k]``.
     ``v + dual(v) == virtual_tangent(fp)`` and ``v`` has empty fixed part;
     a nonzero fixed part signals an internal bug and raises.
+
+    Given ``parent = (parent_fp, minus_parent_vertex, slot, box)``, where
+    ``fp`` is ``parent_fp`` with ``box`` added to ``slot`` (see
+    ``build_fixed_point``), ``v`` is grown from the parent's vertex, which is
+    passed negated as the localization sums keep it.  With ``X = w x`` the
+    box's term, ``w`` the slot's framing weight, ``a`` its leg and ``Q_j``,
+    K, T those of the parent,
+    ``v - v_parent = Kbar X - T Xbar - Pbar_{a^} - sum_j Pbar_{max(a,j)^} (X Qbar_j + Q_j Xbar)``:
+    O(size) ratios where the direct route forms O(size^2).  The direct route,
+    ``parent=None``, serves the empty configuration and stays as the
+    independent check of the grown one.
     """
+    v = _direct_vertex(fp) if parent is None else _grown_vertex(fp, *parent)
+    if 0 in v.terms:
+        raise NotMovableError("vertex term has a nonzero fixed part")
+    return v
+
+
+def _direct_vertex(fp):
     legs = {}  # leg i -> [(term of Q_i, multiplicity)]
     for (i, l), w in fp.w.items():
         legs.setdefault(i, []).extend((w + m, c) for m, c in fp.Z[(i, l)].terms.items())
@@ -142,15 +177,43 @@ def vertex(fp):
                     for y, cy in Qj:
                         y -= x
                         r[y] = r.get(y, 0) + cx * cy
+    _add_pbar_products(terms, ratios, -1)
+    return Character(terms)
+
+
+def _grown_vertex(fp, pfp, minus_pv, s, box):
+    a = s[0]
+    X = fp.w[s] + box_weight(box, a)
+    # minus the child's vertex: minus the parent's, less the growth
+    terms = dict(minus_pv.terms)
+    get = terms.get
+    for (i, _), w in fp.w.items():  # Kbar X - T Xbar
+        m, n = X - w, w + T_WEIGHT[i] - X
+        terms[m] = get(m, 0) - 1
+        terms[n] = get(n, 0) + 1
+    # k -> the terms of X Qbar_j + Q_j Xbar over the legs with max(a, j) = k;
+    # X Xbar = 1 gives the term Pbar_{a^}
+    ratios = {a: {0: 1}}
+    for (j, l), w in fp.w.items():
+        r = ratios.setdefault(max(a, j), {})
+        for y, c in pfp.Z[(j, l)].terms.items():
+            d = X - y - w
+            r[d] = r.get(d, 0) + c
+            r[-d] = r.get(-d, 0) + c
+    _add_pbar_products(terms, ratios, 1)
+    # negated and rid of the terms that cancelled, in one pass
+    return Character._of_nonzero({m: -c for m, c in terms.items() if c})
+
+
+def _add_pbar_products(terms, ratios, sign):
+    """Add ``sign * PBAR[k] * ratios[k]`` to ``terms`` for every k, in place."""
+    get = terms.get
     for k, r in ratios.items():
         for p, cp in PBAR[k].terms.items():
+            cp *= sign
             for m, c in r.items():
                 m += p
-                terms[m] = get(m, 0) - cp * c
-    v = Character(terms)
-    if 0 in v.terms:
-        raise NotMovableError("vertex term has a nonzero fixed part")
-    return v
+                terms[m] = get(m, 0) + cp * c
 
 
 def _half_block(fp, i, l, j, k, pleg):

@@ -123,6 +123,8 @@ PINNED_REPORTS = [
     ("verify --suite all --rvec 1,1,0,0 --order 4 --points 5 --framings 3 --seed 0", "3a7e5dea1d377f71ffd24135ba9cfb47a77cafdcefc70ca46695175dfca34cdf"),
     ("compute --rvec 0,0,0,1 --order 8 --seed 0", "a09967915fef718eb5961aedff231f2bb3aefd360ac0f834430f7418bec2bbdf"),
     ("verify --suite euler --r 3 --order 6", "05a56b7f362f6eedbc09b41aaec7075bbb89f4299e4290115899e5a7418ff872"),
+    ("compute --rvec 1,1,1,1 --order 4 --mode coh --seed 0", "1a63ffcfedbfe2ef16143e43bd60a71b10438054eaeaa391cd25fa46aa4decf8"),
+    ("verify --suite signs --rvec 1,1,1,0 --order 3 --points 3 --seed 0", "77d22200ebcbb1180023b4ed0ec4f98c000520fdd2d3aae8d49496bfbc8965b6"),
 ]
 
 

@@ -264,9 +264,9 @@ def test_characters_built_once_per_configuration(monkeypatch):
     localization._sign_identities.cache_clear()
     built = Counter()
 
-    def counting_build(config):
+    def counting_build(config, parent=None):
         built[config] += 1
-        return build_fixed_point(config)
+        return build_fixed_point(config, parent)
 
     monkeypatch.setattr(localization, "build_fixed_point", counting_build)
     rvec = (1, 1, 0, 0)

@@ -83,6 +83,36 @@ def test_configurations_are_built_once_per_rank_vector_and_size():
     assert enumerate_configurations((1, 1, 0, 0), 1) is not configs
 
 
+@pytest.mark.parametrize("rvec, max_size", [((0, 0, 0, 1), 6), ((1, 1, 0, 1), 4)])
+def test_parent_removes_a_corner_of_the_last_nonempty_slot(rvec, max_size):
+    for n in range(1, max_size + 1):
+        smaller = enumerate_configurations(rvec, n - 1)
+        for config in enumerate_configurations(rvec, n):
+            parent, slot, box = config.parent()
+            assert parent in smaller
+            slots, parent_slots = dict(config.slots()), dict(parent.slots())
+            assert list(slots) == list(parent_slots)
+            # the slot plus the box gives back the configuration; later slots are empty
+            for s, pp in slots.items():
+                if s == slot:
+                    assert pp == PlanePartition([*parent_slots[s], box])
+                    assert box == max(pp.boxes)
+                else:
+                    assert pp == parent_slots[s]
+                    assert s < slot or pp.size == 0
+            # a corner: no box of the partition lies just beyond it
+            for d in range(3):
+                beyond = list(box)
+                beyond[d] += 1
+                assert tuple(beyond) not in slots[slot].boxes
+
+
+def test_the_empty_configuration_has_no_parent():
+    for rvec in [(0, 0, 0, 1), (1, 1, 0, 1)]:
+        with pytest.raises(ValueError):
+            enumerate_configurations(rvec, 0)[0].parent()
+
+
 def test_configuration_shape_validation():
     with pytest.raises(ValueError):
         Configuration((1, 0, 0, 0), ((), (), (), ()))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tetrainst import localization
 from tetrainst.algebra import Character, t_monomial, w_monomial
 from tetrainst.partitions import Configuration, PlanePartition, enumerate_configurations
 from tetrainst.vertex import (
@@ -199,3 +200,18 @@ def test_off_diagonal_block_of_empty_partitions():
     )
     fp = build_fixed_point(config)
     assert vertex_block(fp, 1, 1, 2, 1).is_zero()
+
+
+@pytest.mark.parametrize(
+    "rvec, max_size", [((1, 1, 1, 1), 4), ((0, 0, 0, 3), 4), ((0, 2, 1, 1), 3), ((0, 0, 0, 1), 9)]
+)
+def test_grown_characters_match_the_direct_route(rvec, max_size):
+    # from a cleared cache every nonempty configuration is grown box by box
+    # from the empty one, through build_fixed_point and vertex with a parent
+    localization._characters.cache_clear()
+    for config in configs_up_to(rvec, max_size):
+        fp, minus_v = localization._characters(config)
+        direct = build_fixed_point(config)
+        assert fp.Z == direct.Z
+        assert fp.w == direct.w
+        assert minus_v == -vertex(direct)
