@@ -437,7 +437,7 @@ def theta_eval(V, p, order):
     The per-weight twelfth powers of p are accumulated exactly; they must
     resolve to an integer power of p (automatic for rank-0 characters).
     """
-    if not V.fixed_part().is_zero():
+    if 0 in V.terms:
         raise TrivialWeightError("character has a nonzero fixed part")
     twelfths = V.rank()
     if twelfths % 12:

@@ -4,7 +4,8 @@ This is the verification core.  The partition function is computed by
 summing the chosen localization measure of minus the vertex term over all
 configurations of a given size, and compared against the closed formulas
 at exactly sampled rational points (probabilistic identity testing with
-exact arithmetic: no tolerance anywhere).
+exact arithmetic: no tolerance anywhere).  The bracket and the Euler class
+of minus the vertex are taken as the reciprocals of the vertex's own.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .partitions import (
 from .series import QPSeries, QSeries, macmahon_power
 from .vertex import (
     PBAR,
+    box_weight,
     build_fixed_point,
     tilde_vertex,
     vertex,
@@ -141,22 +143,24 @@ def sample_until(fn, seed, rvec, mode="k", max_tries=SAMPLER_MAX_TRIES):
 
 @lru_cache(maxsize=None)
 def _characters(config):
-    """The fixed-point data of ``config`` and minus its vertex; built once per
+    """The fixed-point data of ``config`` and its vertex; built once per
     process, since neither depends on the point.  The localization sums and
     the sign rule both read it.  A nonempty configuration is grown by one box
     from its parent's pair (``Configuration.parent``)."""
     if not config.size:
         fp = build_fixed_point(config)
-        return fp, -vertex(fp)
+        return fp, vertex(fp)
     parent, slot, box = config.parent()
-    pfp, minus_pv = _characters(parent)
-    fp = build_fixed_point(config, (pfp, slot, box))
-    return fp, -vertex(fp, (pfp, minus_pv, slot, box))
+    pfp, pv = _characters(parent)
+    x = box_weight(box, slot[0])
+    fp = build_fixed_point(config, (pfp, slot, x))
+    return fp, vertex(fp, (pfp, pv, slot, x))
 
 
 def _localization_sum(rvec, order, measure, zero):
-    """Coefficients up to ``order``: ``measure`` of minus the vertex, summed
-    over the configurations of each size, starting from ``zero``."""
+    """Coefficients up to ``order``: ``measure`` of minus the vertex, given
+    the vertex, summed over the configurations of each size, starting from
+    ``zero``."""
     coeffs = []
     for n in range(order + 1):
         total = zero
@@ -167,19 +171,24 @@ def _localization_sum(rvec, order, measure, zero):
 
 
 def Z_loc_K(rvec, order, p):
-    """K-theoretic localization series: sum of brackets of minus the vertex."""
-    return QSeries(_localization_sum(rvec, order, lambda V: bracket_eval(V, p), Fraction(0)))
+    """K-theoretic localization series: sum of brackets of minus the vertex.
+
+    The bracket is multiplicative, so that of minus the vertex is the
+    reciprocal of the vertex's, exactly, and vanishes at the same factors.
+    """
+    return QSeries(_localization_sum(rvec, order, lambda v: 1 / bracket_eval(v, p), Fraction(0)))
 
 
 def Z_loc_coh(rvec, order, p):
-    """Cohomological localization series (Euler-class measure)."""
-    return QSeries(_localization_sum(rvec, order, lambda V: euler_eval(V, p), Fraction(0)))
+    """Cohomological localization series (Euler-class measure), each term the
+    reciprocal of the vertex's Euler class, as in :func:`Z_loc_K`."""
+    return QSeries(_localization_sum(rvec, order, lambda v: 1 / euler_eval(v, p), Fraction(0)))
 
 
 def Z_loc_ell(rvec, q_order, p_order, p):
     """Elliptic localization series, bigraded in q and the elliptic parameter."""
     return QPSeries(
-        _localization_sum(rvec, q_order, lambda V: theta_eval(V, p, p_order), QSeries.zero(p_order))
+        _localization_sum(rvec, q_order, lambda v: theta_eval(-v, p, p_order), QSeries.zero(p_order))
     )
 
 
@@ -249,11 +258,11 @@ def _sign_identities(config):
     """``(sign, lhs, rhs)`` with ``sign * [lhs] == [rhs]`` for each identity
     of the sign rule, in checking order; built once per process, since the
     characters do not depend on the point."""
-    fp, minus_v = _characters(config)
+    fp, v = _characters(config)
     vt = tilde_vertex(fp)
     extra = fp.T * fp.Q.dual()
     sign = -1 if configuration_sign(config) else 1
-    out = [(sign, extra - vt, minus_v)]
+    out = [(sign, extra - vt, -v)]
 
     for (i, l), pp in config.slots():
         Z = fp.Z[(i, l)]

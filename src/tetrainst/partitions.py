@@ -23,6 +23,14 @@ class OrderIdeal:
     def __init__(self, boxes):
         object.__setattr__(self, "boxes", tuple(sorted(tuple(b) for b in boxes)))
 
+    @classmethod
+    def _of_sorted(cls, boxes):
+        """An ideal over ``boxes``, a tuple of box tuples already sorted, so
+        ``__init__``'s sort would copy it for nothing."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "boxes", boxes)
+        return ideal
+
     @property
     def size(self):
         return len(self.boxes)
@@ -93,6 +101,17 @@ class Configuration:
             raise ValueError("leg tuples must match the rank vector")
         object.__setattr__(self, "rvec", rvec)
 
+    @classmethod
+    def _of_checked(cls, rvec, legs):
+        """A configuration over ``rvec``, a tuple that :func:`rank_vector` has
+        already returned, and ``legs`` that match it, so ``__post_init__``'s
+        checks would repeat for nothing.  Enumeration and the parent link
+        build configurations this way."""
+        config = object.__new__(cls)
+        object.__setattr__(config, "rvec", rvec)
+        object.__setattr__(config, "legs", legs)
+        return config
+
     @property
     def size(self):
         return sum(p.size for leg in self.legs for p in leg)
@@ -112,11 +131,16 @@ class Configuration:
         ``(i, l)`` is ``slot``.  No box dominates that box, so it is a corner
         and the parent is a configuration of size one less.  Raises
         ``ValueError`` on the empty configuration."""
-        for (i, l), pp in reversed(list(self.slots())):
-            if pp.boxes:
-                legs = [list(leg) for leg in self.legs]
-                legs[i - 1][l - 1] = PlanePartition(pp.boxes[:-1])
-                return Configuration(self.rvec, tuple(map(tuple, legs))), (i, l), pp.boxes[-1]
+        legs = self.legs
+        for i in range(4, 0, -1):
+            leg = legs[i - 1]
+            for l in range(len(leg), 0, -1):
+                boxes = leg[l - 1].boxes
+                if boxes:
+                    # the boxes are sorted, so the rest of them are too
+                    leg = (*leg[: l - 1], PlanePartition._of_sorted(boxes[:-1]), *leg[l:])
+                    parent = Configuration._of_checked(self.rvec, (*legs[: i - 1], leg, *legs[i:]))
+                    return parent, (i, l), boxes[-1]
         raise ValueError("the empty configuration has no parent")
 
 
@@ -177,11 +201,13 @@ def enumerate_configurations(rvec, n):
 
 @lru_cache(maxsize=None)
 def _configurations(rvec, n):
+    # rvec comes checked from enumerate_configurations, once per (rvec, n)
     configs = []
     for comp in _compositions(n, sum(rvec)):
         for choice in product(*(enumerate_plane_partitions(k) for k in comp)):
             slots = iter(choice)
-            configs.append(Configuration(rvec, tuple(tuple(islice(slots, ri)) for ri in rvec)))
+            legs = tuple(tuple(islice(slots, ri)) for ri in rvec)
+            configs.append(Configuration._of_checked(rvec, legs))
     return tuple(configs)
 
 

@@ -38,6 +38,9 @@ PBAR = {k: char_P(other_indices(k)).dual() for k in range(1, 5)}
 # T_WEIGHT[i] is the weight t_i, the leg twist of a slot on leg i
 T_WEIGHT = {i: t_monomial(i) for i in range(1, 5)}
 
+# AXIS_WEIGHTS[i] is (t_i1, t_i2, t_i3), the weights of the three axes of leg i
+AXIS_WEIGHTS = {i: tuple(T_WEIGHT[k] for k in other_indices(i)) for i in range(1, 5)}
+
 
 @dataclass
 class FixedPointData:
@@ -74,7 +77,9 @@ class FixedPointData:
 
 def box_weight(box, i):
     """The weight ``t_{i1}^a t_{i2}^b t_{i3}^c`` of the box ``(a, b, c)`` on leg ``i``."""
-    return sum(e * T_WEIGHT[k] for k, e in zip(other_indices(i), box))
+    a, b, c = box
+    u, v, w = AXIS_WEIGHTS[i]
+    return a * u + b * v + c * w
 
 
 def partition_character(pp, i):
@@ -86,17 +91,18 @@ def partition_character(pp, i):
 def build_fixed_point(config, parent=None):
     """The slot data of ``config``.
 
-    Given ``parent = (parent_fp, slot, box)``, with ``parent_fp`` the data of
-    ``config.parent()`` and ``slot, box`` as that method returns them, only
-    that slot's character is new: it is the parent's plus the box's weight,
-    and every other slot's character and the framing weights are shared.
+    Given ``parent = (parent_fp, slot, x)``, with ``parent_fp`` the data of
+    ``config.parent()``, ``slot`` as that method returns it and ``x`` the
+    :func:`box_weight` of its box on the slot's leg, only that slot's
+    character is new: it is the parent's plus ``x``, and every other slot's
+    character and the framing weights are shared.
     """
     if parent is None:
         Z = {s: partition_character(pp, s[0]) for s, pp in config.slots()}
         return FixedPointData(Z, {s: w_monomial(k) for k, s in enumerate(Z)})
-    pfp, s, box = parent
+    pfp, s, x = parent
     Z = dict(pfp.Z)
-    Z[s] = Character({**Z[s].terms, box_weight(box, s[0]): 1})
+    Z[s] = Character._of_nonzero({**Z[s].terms, x: 1})
     return FixedPointData(Z, pfp.w)
 
 
@@ -138,12 +144,12 @@ def vertex(fp, parent=None):
     ``v + dual(v) == virtual_tangent(fp)`` and ``v`` has empty fixed part;
     a nonzero fixed part signals an internal bug and raises.
 
-    Given ``parent = (parent_fp, minus_parent_vertex, slot, box)``, where
-    ``fp`` is ``parent_fp`` with ``box`` added to ``slot`` (see
-    ``build_fixed_point``), ``v`` is grown from the parent's vertex, which is
-    passed negated as the localization sums keep it.  With ``X = w x`` the
-    box's term, ``w`` the slot's framing weight, ``a`` its leg and ``Q_j``,
-    K, T those of the parent,
+    Given ``parent = (parent_fp, parent_vertex, slot, x)``, where ``fp`` is
+    ``parent_fp`` with the box of weight ``x`` added to ``slot`` (see
+    ``build_fixed_point``), ``v`` is a copy of the parent's vertex plus the
+    growth, rid of the terms that cancel.  With ``X = w x`` the box's term,
+    ``w`` the slot's framing weight, ``a`` its leg and ``Q_j``, K, T those of
+    the parent,
     ``v - v_parent = Kbar X - T Xbar - Pbar_{a^} - sum_j Pbar_{max(a,j)^} (X Qbar_j + Q_j Xbar)``:
     O(size) ratios where the direct route forms O(size^2).  The direct route,
     ``parent=None``, serves the empty configuration and stays as the
@@ -177,20 +183,19 @@ def _direct_vertex(fp):
                     for y, cy in Qj:
                         y -= x
                         r[y] = r.get(y, 0) + cx * cy
-    _add_pbar_products(terms, ratios, -1)
+    _subtract_pbar_products(terms, ratios)
     return Character(terms)
 
 
-def _grown_vertex(fp, pfp, minus_pv, s, box):
+def _grown_vertex(fp, pfp, pv, s, x):
     a = s[0]
-    X = fp.w[s] + box_weight(box, a)
-    # minus the child's vertex: minus the parent's, less the growth
-    terms = dict(minus_pv.terms)
+    X = fp.w[s] + x
+    terms = dict(pv.terms)
     get = terms.get
     for (i, _), w in fp.w.items():  # Kbar X - T Xbar
         m, n = X - w, w + T_WEIGHT[i] - X
-        terms[m] = get(m, 0) - 1
-        terms[n] = get(n, 0) + 1
+        terms[m] = get(m, 0) + 1
+        terms[n] = get(n, 0) - 1
     # k -> the terms of X Qbar_j + Q_j Xbar over the legs with max(a, j) = k;
     # X Xbar = 1 gives the term Pbar_{a^}
     ratios = {a: {0: 1}}
@@ -200,20 +205,18 @@ def _grown_vertex(fp, pfp, minus_pv, s, box):
             d = X - y - w
             r[d] = r.get(d, 0) + c
             r[-d] = r.get(-d, 0) + c
-    _add_pbar_products(terms, ratios, 1)
-    # negated and rid of the terms that cancelled, in one pass
-    return Character._of_nonzero({m: -c for m, c in terms.items() if c})
+    _subtract_pbar_products(terms, ratios)
+    return Character(terms)
 
 
-def _add_pbar_products(terms, ratios, sign):
-    """Add ``sign * PBAR[k] * ratios[k]`` to ``terms`` for every k, in place."""
+def _subtract_pbar_products(terms, ratios):
+    """Subtract ``PBAR[k] * ratios[k]`` from ``terms`` for every k, in place."""
     get = terms.get
     for k, r in ratios.items():
         for p, cp in PBAR[k].terms.items():
-            cp *= sign
             for m, c in r.items():
                 m += p
-                terms[m] = get(m, 0) + cp * c
+                terms[m] = get(m, 0) - cp * c
 
 
 def _half_block(fp, i, l, j, k, pleg):
@@ -255,6 +258,6 @@ def tilde_vertex(fp):
     """Rank-agnostic square-root variant ``Kbar*Q - Pbar_{123}*Q*Qbar``."""
     Q = fp.Q
     v = fp.K.dual() * Q - PBAR[4] * Q * Q.dual()
-    if not v.fixed_part().is_zero():
+    if 0 in v.terms:
         raise NotMovableError("tilde vertex has a nonzero fixed part")
     return v

@@ -125,6 +125,8 @@ PINNED_REPORTS = [
     ("verify --suite euler --r 3 --order 6", "05a56b7f362f6eedbc09b41aaec7075bbb89f4299e4290115899e5a7418ff872"),
     ("compute --rvec 1,1,1,1 --order 4 --mode coh --seed 0", "1a63ffcfedbfe2ef16143e43bd60a71b10438054eaeaa391cd25fa46aa4decf8"),
     ("verify --suite signs --rvec 1,1,1,0 --order 3 --points 3 --seed 0", "77d22200ebcbb1180023b4ed0ec4f98c000520fdd2d3aae8d49496bfbc8965b6"),
+    # a pole partway through the sum: the second point reuses a half-filled build cache
+    ("compute --rvec 1,1,1,1 --order 4 --mode coh --seed 10", "6e2b0d2038b56948512e01e1d07f41820b5e02794992bca7e686e4c88daa04e1"),
 ]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetrainst import localization
+from tetrainst import localization, partitions
 from tetrainst.algebra import CohPoint, EvalPoint, PoleAtPointError, SamplerExhaustedError
 from tetrainst.formulas import closed_Z_K, closed_Z_coh
 from tetrainst.localization import (
@@ -276,6 +276,52 @@ def test_characters_built_once_per_configuration(monkeypatch):
     assert run_sign_sweep(rvec, 3, 11, 2).passed
     assert set(built) == {c for n in range(4) for c in enumerate_configurations(rvec, n)}
     assert max(built.values()) == 1
+
+
+def test_the_rank_vector_is_checked_once_per_enumeration(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("rank_vector", "enumerate_configurations"):
+        monkeypatch.setattr(partitions, name, counted(name, getattr(partitions, name)))
+    partitions._configurations.cache_clear()
+    localization._characters.cache_clear()
+    # building the characters reaches every parent through the parent link
+    for n in range(5):
+        for config in partitions.enumerate_configurations((1, 1, 1, 1), n):
+            localization._characters(config)
+    assert calls["enumerate_configurations"] == 5
+    assert calls["rank_vector"] == calls["enumerate_configurations"]
+
+
+def test_growth_never_aliases_or_writes_into_a_parent():
+    rvec = (1, 1, 1, 1)
+    localization._characters.cache_clear()
+    configs = [c for n in range(5) for c in enumerate_configurations(rvec, n)]
+    snapshots = {}
+    # each size is snapshot before the next size's configurations grow from it
+    for config in configs:
+        fp, v = localization._characters(config)
+        snapshots[config] = (dict(v.terms), {s: dict(Z.terms) for s, Z in fp.Z.items()}, dict(fp.w))
+    for config in configs:
+        fp, v = localization._characters(config)
+        assert (dict(v.terms), {s: dict(Z.terms) for s, Z in fp.Z.items()}, dict(fp.w)) == snapshots[config]
+    cached = [localization._characters(c) for c in configs]
+    assert len({id(v.terms) for _, v in cached}) == len(configs)
+    assert len({id(fp.Z) for fp, _ in cached}) == len(configs)
+    for config in configs[1:]:
+        parent = config.parent()[0]
+        public = Configuration(
+            list(rvec), tuple(tuple(PlanePartition(pp.boxes) for pp in leg) for leg in parent.legs)
+        )
+        assert parent == public and hash(parent) == hash(public)
+        assert public in snapshots
 
 
 def test_Z_loc_K_same_from_warm_and_cleared_caches():

@@ -210,8 +210,8 @@ def test_grown_characters_match_the_direct_route(rvec, max_size):
     # from the empty one, through build_fixed_point and vertex with a parent
     localization._characters.cache_clear()
     for config in configs_up_to(rvec, max_size):
-        fp, minus_v = localization._characters(config)
+        fp, v = localization._characters(config)
         direct = build_fixed_point(config)
         assert fp.Z == direct.Z
         assert fp.w == direct.w
-        assert minus_v == -vertex(direct)
+        assert v == vertex(direct)
