@@ -36,7 +36,8 @@ from .series import QSeries, exp_numerators, rational
 
 
 class TrivialWeightError(ValueError):
-    """A measure was applied to a character with a nonzero fixed part."""
+    """A character that must be movable has a nonzero fixed part: a measure's
+    argument, or a vertex term."""
 
 
 class PoleAtPointError(ArithmeticError):
@@ -46,10 +47,6 @@ class PoleAtPointError(ArithmeticError):
 
 class FractionalPowerError(ValueError):
     """An operation needs an integer power but got a genuine half-integer."""
-
-
-class NotMovableError(ValueError):
-    """A character that must be movable has a nonzero fixed part."""
 
 
 class SamplerExhaustedError(RuntimeError):

@@ -54,7 +54,7 @@ def closed_Z_K(rvec, order, p):
     def body(n):
         a_val = bracket_eval(Character({n * m: c for m, c in _A_CHAR.terms.items()}), p)
         coeffs = [Fraction(0)]
-        for m in range(1, order + 1):
+        for m in range(1, order // n + 1):  # plethystic_exp reads no further
             coeffs.append(a_val * bracket_monomial(n * m * kap, p))
         return QSeries(coeffs)
 

@@ -253,11 +253,11 @@ def _identities_hold(identities, p):
     return all(sign * bracket_eval(lhs, p) == bracket_eval(rhs, p) for sign, lhs, rhs in identities)
 
 
-@lru_cache(maxsize=None)
 def _sign_identities(config):
     """``(sign, lhs, rhs)`` with ``sign * [lhs] == [rhs]`` for each identity
-    of the sign rule, in checking order; built once per process, since the
-    characters do not depend on the point."""
+    of the sign rule, in checking order.  The characters do not depend on the
+    point: :func:`run_sign_sweep` builds them once per configuration and
+    evaluates them at every point."""
     fp, v = _characters(config)
     vt = tilde_vertex(fp)
     extra = fp.T * fp.Q.dual()

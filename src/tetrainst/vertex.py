@@ -6,17 +6,18 @@ tangent character and the vertex term (a chosen square root of the virtual
 tangent), together with its block decomposition and the rank-agnostic tilde
 variant used by the sign rule.
 
-The vertex has two routes.  The direct one forms every ratio of two terms of
-Q.  The grown one adds a single box ``X`` to a configuration whose vertex is
-known, which changes the vertex by O(size) terms; the localization sums build
-every nonempty configuration that way, from ``Configuration.parent``.
+The vertex has two routes.  The direct one is its formula written in
+character arithmetic, and serves the empty configuration and the tests.  The
+grown one adds a single box ``X`` to a configuration whose vertex is known,
+which changes the vertex by O(size) terms; the localization sums build every
+nonempty configuration that way, from ``Configuration.parent``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Character, NotMovableError, t_monomial, w_monomial
+from .algebra import Character, TrivialWeightError, t_monomial, w_monomial
 
 
 def other_indices(i):
@@ -138,11 +139,10 @@ def virtual_tangent_via_ambient(fp):
 def vertex(fp, parent=None):
     """The vertex term: a square root of the virtual tangent character.
 
-    ``v = Kbar Q - T Qbar - sum_{i,j} Pbar_{max(i,j)^} Q_j Qbar_i``, collected
-    in one dict from the slots' terms: the ratios ``y - x`` of terms of Q_j and
-    Q_i are counted per ``k = max(i, j)``, and each count is multiplied by ``PBAR[k]``.
-    ``v + dual(v) == virtual_tangent(fp)`` and ``v`` has empty fixed part;
-    a nonzero fixed part signals an internal bug and raises.
+    ``v = Kbar Q - T Qbar - sum_{i,j} Pbar_{max(i,j)^} Q_j Qbar_i``, with
+    ``Q_i`` the part of Q on leg ``i``.  ``v + dual(v) == virtual_tangent(fp)``
+    and ``v`` has empty fixed part; a nonzero fixed part signals an internal
+    bug and raises.
 
     Given ``parent = (parent_fp, parent_vertex, slot, x)``, where ``fp`` is
     ``parent_fp`` with the box of weight ``x`` added to ``slot`` (see
@@ -151,40 +151,27 @@ def vertex(fp, parent=None):
     ``w`` the slot's framing weight, ``a`` its leg and ``Q_j``, K, T those of
     the parent,
     ``v - v_parent = Kbar X - T Xbar - Pbar_{a^} - sum_j Pbar_{max(a,j)^} (X Qbar_j + Q_j Xbar)``:
-    O(size) ratios where the direct route forms O(size^2).  The direct route,
-    ``parent=None``, serves the empty configuration and stays as the
-    independent check of the grown one.
+    O(size) ratios, collected in one dict.  The direct route,
+    ``parent=None``, is the formula above in character arithmetic; it serves
+    the empty configuration and stays as the independent check of the grown
+    one.
     """
     v = _direct_vertex(fp) if parent is None else _grown_vertex(fp, *parent)
     if 0 in v.terms:
-        raise NotMovableError("vertex term has a nonzero fixed part")
+        raise TrivialWeightError("vertex term has a nonzero fixed part")
     return v
 
 
 def _direct_vertex(fp):
-    legs = {}  # leg i -> [(term of Q_i, multiplicity)]
-    for (i, l), w in fp.w.items():
-        legs.setdefault(i, []).extend((w + m, c) for m, c in fp.Z[(i, l)].terms.items())
-    Q = [xc for Qi in legs.values() for xc in Qi]
-    terms = {}
-    get = terms.get
-    for (i, _), w in fp.w.items():  # Kbar Q - T Qbar
-        wt = w + T_WEIGHT[i]
-        for x, c in Q:
-            a, b = x - w, wt - x
-            terms[a] = get(a, 0) + c
-            terms[b] = get(b, 0) - c
-    ratios = {}  # k -> the terms of Q_j Qbar_i over the legs with max(i, j) = k
-    for i, Qi in legs.items():
-        for j, Qj in legs.items():
-            if Qi and Qj:
-                r = ratios.setdefault(max(i, j), {})
-                for x, cx in Qi:
-                    for y, cy in Qj:
-                        y -= x
-                        r[y] = r.get(y, 0) + cx * cy
-    _subtract_pbar_products(terms, ratios)
-    return Character(terms)
+    Q = {
+        i: Character.sum(Character.of(w) * fp.Z[s] for s, w in fp.w.items() if s[0] == i)
+        for i in range(1, 5)
+    }
+    return Character.sum([
+        fp.K.dual() * fp.Q,
+        -fp.T * fp.Q.dual(),
+        *(-PBAR[max(i, j)] * Q[j] * Q[i].dual() for i in Q for j in Q),
+    ])
 
 
 def _grown_vertex(fp, pfp, pv, s, x):
@@ -205,18 +192,12 @@ def _grown_vertex(fp, pfp, pv, s, x):
             d = X - y - w
             r[d] = r.get(d, 0) + c
             r[-d] = r.get(-d, 0) + c
-    _subtract_pbar_products(terms, ratios)
-    return Character(terms)
-
-
-def _subtract_pbar_products(terms, ratios):
-    """Subtract ``PBAR[k] * ratios[k]`` from ``terms`` for every k, in place."""
-    get = terms.get
-    for k, r in ratios.items():
+    for k, r in ratios.items():  # minus Pbar_{k^} times each count
         for p, cp in PBAR[k].terms.items():
             for m, c in r.items():
                 m += p
                 terms[m] = get(m, 0) - cp * c
+    return Character(terms)
 
 
 def _half_block(fp, i, l, j, k, pleg):
@@ -259,5 +240,5 @@ def tilde_vertex(fp):
     Q = fp.Q
     v = fp.K.dual() * Q - PBAR[4] * Q * Q.dual()
     if 0 in v.terms:
-        raise NotMovableError("tilde vertex has a nonzero fixed part")
+        raise TrivialWeightError("tilde vertex has a nonzero fixed part")
     return v

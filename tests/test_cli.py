@@ -127,6 +127,7 @@ PINNED_REPORTS = [
     ("verify --suite signs --rvec 1,1,1,0 --order 3 --points 3 --seed 0", "77d22200ebcbb1180023b4ed0ec4f98c000520fdd2d3aae8d49496bfbc8965b6"),
     # a pole partway through the sum: the second point reuses a half-filled build cache
     ("compute --rvec 1,1,1,1 --order 4 --mode coh --seed 10", "6e2b0d2038b56948512e01e1d07f41820b5e02794992bca7e686e4c88daa04e1"),
+    ("compute --rvec 1,0,0,0 --order 6 --seed 0", "407eb14251204834311ab1d5d4919a884cdf7149422a455739e623ecdabec3f1"),
 ]
 
 

@@ -23,7 +23,7 @@ from tetrainst.localization import (
 )
 from tetrainst.partitions import Configuration, PlanePartition, enumerate_configurations
 from tetrainst.series import QSeries
-from tetrainst.vertex import build_fixed_point
+from tetrainst.vertex import build_fixed_point, tilde_vertex
 
 
 def test_sample_point_deterministic():
@@ -261,14 +261,19 @@ def test_localization_sum_order_independent():
 
 def test_characters_built_once_per_configuration(monkeypatch):
     localization._characters.cache_clear()
-    localization._sign_identities.cache_clear()
     built = Counter()
+    tilde = Counter()
 
     def counting_build(config, parent=None):
         built[config] += 1
         return build_fixed_point(config, parent)
 
+    def counting_tilde(fp):
+        tilde[id(fp)] += 1
+        return tilde_vertex(fp)
+
     monkeypatch.setattr(localization, "build_fixed_point", counting_build)
+    monkeypatch.setattr(localization, "tilde_vertex", counting_tilde)
     rvec = (1, 1, 0, 0)
     assert verify_main(rvec, 3, 11, 5).passed
     assert check_framing_independence(rvec, 3, 11, 3).passed
@@ -276,6 +281,8 @@ def test_characters_built_once_per_configuration(monkeypatch):
     assert run_sign_sweep(rvec, 3, 11, 2).passed
     assert set(built) == {c for n in range(4) for c in enumerate_configurations(rvec, n)}
     assert max(built.values()) == 1
+    # the sweep builds each configuration's sign identities once, for all its points
+    assert tilde == Counter(id(localization._characters(c)[0]) for c in built)
 
 
 def test_the_rank_vector_is_checked_once_per_enumeration(monkeypatch):

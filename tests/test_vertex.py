@@ -203,7 +203,16 @@ def test_off_diagonal_block_of_empty_partitions():
 
 
 @pytest.mark.parametrize(
-    "rvec, max_size", [((1, 1, 1, 1), 4), ((0, 0, 0, 3), 4), ((0, 2, 1, 1), 3), ((0, 0, 0, 1), 9)]
+    "rvec, max_size",
+    [
+        ((1, 1, 1, 1), 4),
+        ((0, 0, 0, 3), 4),
+        ((0, 2, 1, 1), 3),
+        ((0, 0, 0, 1), 9),
+        # leg-1 boxes grow through the Pbar_{1^} block, max(a, j) = 1
+        ((1, 0, 0, 0), 7),
+        ((2, 1, 0, 1), 3),
+    ],
 )
 def test_grown_characters_match_the_direct_route(rvec, max_size):
     # from a cleared cache every nonempty configuration is grown box by box
