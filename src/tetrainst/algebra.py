@@ -141,10 +141,6 @@ class Character:
         return V
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({0: 1})
 
@@ -174,12 +170,6 @@ class Character:
 
     def dual(self):
         return Character._of_nonzero({-m: mult for m, mult in self.terms.items()})
-
-    def fixed_part(self):
-        return Character({0: self.terms.get(0, 0)})
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         return isinstance(other, Character) and self.terms == other.terms
@@ -248,9 +238,6 @@ class CohPoint:
         self.bases = tuple(s.numerator * (D // s.denominator) for s in roots)
         self.values = {}
 
-    def with_v(self, v):
-        return CohPoint(self.s[:3], v)
-
     def __repr__(self):
         return f"CohPoint(s={self.s}, v={self.v})"
 
@@ -260,23 +247,6 @@ def _beyond_the_point(m):
     belongs to another rank vector, and truncating it would give a wrong
     value."""
     return ValueError(f"weight {_weight_str(exponents(m))} has more slots than the point")
-
-
-def eval_monomial(m, p):
-    """Value of ``m`` at ``p``; half-integer powers evaluate exactly on the
-    square-root bases."""
-    fields = exponents(m)
-    if len(fields) > len(p.bases):
-        raise _beyond_the_point(m)
-    n = d = 1
-    for (a, b), e in zip(p.bases, fields):
-        if e > 0:
-            n *= a ** e
-            d *= b ** e
-        elif e < 0:
-            n *= b ** -e
-            d *= a ** -e
-    return Fraction(n, d)
 
 
 @lru_cache(maxsize=None)
@@ -320,6 +290,16 @@ def _root_pair(row, bases):
             n *= b ** -h
             d *= a ** -h
     return n, d
+
+
+def eval_monomial(m, p):
+    """Value of ``m`` at ``p``; half-integer powers evaluate exactly on the
+    square-root bases.  Every field of ``2m`` is even, so the root of ``2m``
+    is ``m`` over the square-root bases."""
+    row = _root(2 * m)
+    if row[0] > len(p.bases):
+        raise _beyond_the_point(m)
+    return Fraction(*_root_pair(row, p.bases))
 
 
 def _bracket_pair(m, p):
@@ -396,22 +376,6 @@ def _euler_pair(m, p):
 def euler_eval(V, p):
     """Multiplicative extension of the Euler class to a movable character."""
     return _product(V, p, _euler_pair, "Euler-class")
-
-
-def theta_monomial(m, p, order):
-    """The theta measure of one weight, as a series in the elliptic parameter.
-
-    Returns ``[x] * prod_{n>=1} (1 - x p^n)(1 - 1/x p^n)`` truncated at
-    ``order``; the ``p^(1/12)`` prefactor is tracked by the caller.  The
-    constant term is ``bracket_monomial(m, p)``.  This is the product-form
-    route that :func:`theta_eval`'s plethystic form is tested against.
-    """
-    y = eval_monomial(m, p)
-    f = QSeries.constant(bracket_monomial(m, p), order)
-    for n in range(1, order + 1):
-        f = f * QSeries.binomial(-y, n, order)
-        f = f * QSeries.binomial(-1 / y, n, order)
-    return f
 
 
 def theta_eval(V, p, order):

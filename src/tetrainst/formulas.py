@@ -106,24 +106,6 @@ def closed_Z_coh(rvec, order, p):
     return macmahon_power(alpha, order).q_scale(sign=(-1) ** sum(rvec))
 
 
-def rank1_relation_residual(p):
-    """The linear relation among the four rank-1 first coefficients.
-
-    Returns ``sum_i (prod_{j<i} t_j^(-1)) * t_i^(-1/2) * Z1^(i)`` where
-    ``Z1^(i)`` is the q^1 coefficient of the leg-i rank-1 series; the value
-    is identically zero.
-    """
-    total = Fraction(0)
-    for i in range(1, 5):
-        texp = [0, 0, 0, 0]
-        for j in range(1, i):
-            texp[j - 1] -= 2
-        texp[i - 1] -= 1
-        coeff = eval_monomial(monomial(texp), p)
-        total += coeff * rank1_Z(i, 1, p).coefficient(1)
-    return total
-
-
 def check_kappa_identity(sqrt_xs, order):
     """Standalone weight identity behind the factorization theorem.
 

@@ -119,22 +119,22 @@ def sample_point(seed, rvec, mode="k"):
     return _draw_point(random.Random(seed), rvec, mode)
 
 
-def sample_until(fn, seed, rvec, mode="k", max_tries=SAMPLER_MAX_TRIES):
+def sample_until(fn, seed, rvec, mode="k"):
     """Run ``fn(point)`` on freshly drawn points until one is not degenerate.
 
     At a degenerate point, where a factor of a measure vanishes, ``fn``
     raises :class:`PoleAtPointError` and the next point is drawn.  Returns
     ``(result, point, tries)``; raises :class:`SamplerExhaustedError` after
-    the retry cap.  Deterministic given the seed.
+    ``SAMPLER_MAX_TRIES`` tries.  Deterministic given the seed.
     """
     rng = random.Random(seed)
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, SAMPLER_MAX_TRIES + 1):
         point = _draw_point(rng, rvec, mode)
         try:
             return fn(point), point, attempt
         except PoleAtPointError:
             continue
-    raise SamplerExhaustedError(f"no pole-free point in {max_tries} tries (seed {seed})")
+    raise SamplerExhaustedError(f"no pole-free point in {SAMPLER_MAX_TRIES} tries (seed {seed})")
 
 
 # ---------------------------------------------------------------------------

@@ -35,19 +35,6 @@ class OrderIdeal:
     def size(self):
         return len(self.boxes)
 
-    def is_valid(self):
-        cells = set(self.boxes)
-        for box in cells:
-            if any(c < 0 for c in box):
-                return False
-            for k in range(len(box)):
-                if box[k] > 0:
-                    below = list(box)
-                    below[k] -= 1
-                    if tuple(below) not in cells:
-                        return False
-        return True
-
 
 class PlanePartition(OrderIdeal):
     """An order ideal in Z^3_{>=0}, stored as a sorted tuple of box triples."""

@@ -3,7 +3,11 @@
 A :class:`QSeries` of order ``N`` stores coefficients ``c_0..c_N``; every
 operation is exact and truncation-consistent (computing at a higher order and
 truncating gives the same result).  :class:`QPSeries` is the bigraded variant
-used for the elliptic partition function.
+used for the elliptic partition function.  The module holds what the partition
+functions use: sums, products, ``exp`` and the plethystic exponential.  The
+product form of the MacMahon series, and the log, inverse and powers of a
+series that it needs, are in ``tests/reference.py``, which checks
+:func:`macmahon_power` against them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from math import factorial
 
 
 class BadConstantTermError(ValueError):
-    """log/invert need constant term 1 (or nonzero); exp needs constant 0."""
+    """exp and the plethystic exponential need a zero constant term."""
 
 
 def rational(x):
@@ -47,22 +51,8 @@ class QSeries:
     def constant(cls, c, order):
         return cls((c,) + (0,) * order)
 
-    @classmethod
-    def binomial(cls, c, n, order):
-        """The polynomial ``1 + c*q^n`` truncated at ``order``."""
-        coeffs = [Fraction(0)] * (order + 1)
-        coeffs[0] = Fraction(1)
-        if n <= order:
-            coeffs[n] = Fraction(c)
-        return cls(coeffs)
-
     def coefficient(self, n):
         return self.coeffs[n]
-
-    def truncate(self, order):
-        if order >= self.order:
-            return QSeries(self.coeffs + (0,) * (order - self.order))
-        return QSeries(self.coeffs[: order + 1])
 
     def __eq__(self, other):
         return isinstance(other, QSeries) and self.coeffs == other.coeffs
@@ -94,27 +84,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def invert(self):
-        """Multiplicative inverse; the constant term must be nonzero."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise BadConstantTermError("cannot invert a series with zero constant term")
-        out = [Fraction(0)] * (self.order + 1)
-        out[0] = 1 / c0
-        for n in range(1, self.order + 1):
-            s = sum(self.coeffs[k] * out[n - k] for k in range(1, n + 1))
-            out[n] = -s / c0
-        return QSeries(out)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.invert() ** (-n)
-        if n <= 1:
-            return self if n else QSeries.one(self.order)
-        half = self ** (n // 2)
-        out = half * half
-        return out * self if n & 1 else out
-
     def exp(self):
         """exp of a series with zero constant term."""
         if self.coeffs[0] != 0:
@@ -125,20 +94,6 @@ class QSeries:
             # n*e_n = sum_{k=1..n} k f_k e_{n-k}, from (exp f)' = f' exp f
             s = sum((k * self.coeffs[k] * out[n - k] for k in range(1, n + 1)), Fraction(0))
             out[n] = s / n
-        return QSeries(out)
-
-    def log(self):
-        """log of a series with constant term 1.
-
-        No code in the package calls it: it is the reference route the tests
-        take the log of the MacMahon product with, to check ``macmahon_power``.
-        """
-        if self.coeffs[0] != 1:
-            raise BadConstantTermError("log needs constant term 1")
-        out = [Fraction(0)] * (self.order + 1)
-        for n in range(1, self.order + 1):
-            s = sum((k * out[k] * self.coeffs[n - k] for k in range(1, n)), Fraction(0))
-            out[n] = self.coeffs[n] - s / n
         return QSeries(out)
 
     def shift(self, k):
@@ -181,14 +136,6 @@ def plethystic_exp(coeff_fn, order):
     return QSeries(log).exp()
 
 
-def macmahon(order):
-    """MacMahon series ``prod_{n>=1} (1-q^n)^(-n)`` truncated at ``order``."""
-    out = QSeries.one(order)
-    for n in range(1, order + 1):
-        out = out * QSeries.binomial(-1, n, order).invert() ** n
-    return out
-
-
 def exp_numerators(lam):
     """The ints ``G_0..G_N`` with ``exp(sum_M lam[M] y^M / M) = sum_n G_n y^n / n!``.
 
@@ -215,7 +162,8 @@ def macmahon_power(alpha, order):
     The log is ``sum_M alpha sigma_2(M) q^M / M``; with ``alpha = a/b`` its
     numerators over ``M b^M`` are the ints ``a sigma_2(M) b^(M-1)``, so
     :func:`exp_numerators` gives the coefficients ``G_n / (n! b^n)``.  This
-    route is independent of the product form :func:`macmahon`.
+    route is independent of the product form ``tests/reference.py::macmahon``
+    that the tests compare it with.
     """
     alpha = rational(alpha)
     a, b = alpha.numerator, alpha.denominator

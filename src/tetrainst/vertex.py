@@ -4,7 +4,10 @@ Given a configuration of plane partitions, this module builds the quotient
 character Q, the framing character K, its leg-twisted form T, the virtual
 tangent character and the vertex term (a chosen square root of the virtual
 tangent), together with its block decomposition and the rank-agnostic tilde
-variant used by the sign rule.
+variant used by the sign rule.  The second route to the virtual tangent,
+through the ambient space and the obstruction bundle, and the vertex
+reassembled from its blocks are in ``tests/reference.py``, which checks them
+against :func:`virtual_tangent` and :func:`vertex`.
 
 The vertex has two routes.  The direct one is its formula written in
 character arithmetic, and serves the empty configuration and the tests.  The
@@ -114,28 +117,6 @@ def virtual_tangent(fp):
     return Character.sum([K.dual() * Q, K * Qd, -char_P({1, 2, 3, 4}) * Q * Qd, -T * Qd, -T.dual() * Q])
 
 
-def ambient_tangent(fp):
-    """Tangent character of the smooth ambient moduli space."""
-    Q = fp.Q
-    c4 = Character({0: -1, **{t_monomial(i, -1): 1 for i in range(1, 5)}})
-    return c4 * Q * Q.dual() + fp.K.dual() * Q
-
-
-def obstruction_fiber(fp):
-    """Fiber character of the orthogonal bundle cutting out the moduli space."""
-    Q, T = fp.Q, fp.T
-    Qd = Q.dual()
-    # the six weights t_i^(-1) t_j^(-1), i < j, are distinct
-    lam2 = Character({t_monomial(i, -1) + t_monomial(j, -1): 1 for i in range(1, 5) for j in range(i + 1, 5)})
-    return Character.sum([lam2 * Q * Qd, T * Qd, T.dual() * Q])
-
-
-def virtual_tangent_via_ambient(fp):
-    """Independent route: ambient tangent minus obstruction plus cotangent."""
-    TA = ambient_tangent(fp)
-    return TA - obstruction_fiber(fp) + TA.dual()
-
-
 def vertex(fp, parent=None):
     """The vertex term: a square root of the virtual tangent character.
 
@@ -225,14 +206,6 @@ def vertex_block(fp, i, l, j, k):
             block = block + _half_block(fp, i, k, j, l, pleg=j)
         return block
     return _half_block(fp, i, l, j, k, pleg=j) + _half_block(fp, j, k, i, l, pleg=j)
-
-
-def vertex_from_blocks(fp):
-    """Reassemble the vertex term from its blocks (decomposition identity)."""
-    slots = list(fp.Z)
-    return Character.sum(
-        vertex_block(fp, i, l, j, k) for a, (i, l) in enumerate(slots) for (j, k) in slots[a:]
-    )
 
 
 def tilde_vertex(fp):

@@ -24,13 +24,14 @@ from tetrainst.algebra import (
     monomial,
     t_monomial,
     theta_eval,
-    theta_monomial,
     w_monomial,
 )
 from tetrainst.localization import sample_point
 from tetrainst.partitions import enumerate_configurations
 from tetrainst.series import QSeries
 from tetrainst.vertex import build_fixed_point, char_P, vertex
+
+from reference import invert, power, theta_monomial, truncate
 
 
 def test_canonicalize_relation():
@@ -253,7 +254,7 @@ def test_no_stored_multiplicity_is_zero(xs):
     V, W = xs[0], xs[1]
     zeros = Character({**dict.fromkeys(W.terms, 0), **V.terms})
     assert zeros == V
-    for r in (zeros, V + W, V - W, V - V, V * W, -V, V.dual(), V.fixed_part(), Character.sum(xs)):
+    for r in (zeros, V + W, V - W, V - V, V * W, -V, V.dual(), Character({0: V.terms.get(0, 0)}), Character.sum(xs)):
         assert 0 not in r.terms.values()
 
 
@@ -278,7 +279,7 @@ def test_character_arithmetic():
     t1i = Character.of(t_monomial(1, -1))
     assert (one - t1) * (one - t1i) == one + one - t1 - t1i
     V = char_P({1, 2}) * char_P({3})
-    assert (V - V).is_zero()
+    assert V - V == Character()
 
 
 def test_P123_plus_dual_is_P1234():
@@ -293,10 +294,11 @@ def test_P123_plus_dual_is_P1234():
 
 def test_fixed_and_movable_parts():
     V = Character({0: 3, t_monomial(1): 1})
-    assert V.fixed_part() == Character({0: 3})
-    assert V - V.fixed_part() == Character.of(t_monomial(1))
-    assert (V - V.fixed_part()).fixed_part().is_zero()
-    assert Character.zero().fixed_part().is_zero()
+    fixed = Character({0: V.terms.get(0, 0)})
+    assert fixed == Character({0: 3})
+    assert V - fixed == Character.of(t_monomial(1))
+    assert 0 not in (V - fixed).terms
+    assert Character().terms.get(0, 0) == 0
 
 
 def test_character_repr_prints_weights_as_powers():
@@ -309,7 +311,7 @@ def test_character_repr_prints_weights_as_powers():
     assert repr(V) == (
         "Character(-1*t1^(-1)*t2^(-1)*t3^(-1) + 3*w[0]^(1/2) + 2*t1^(1/2)*w[1]^(-1) + 1*t1^(1))"
     )
-    assert repr(Character.zero()) == "Character(0)"
+    assert repr(Character()) == "Character(0)"
     with pytest.raises(PoleAtPointError, match=r"bracket factor t1\^\(1\) vanishes$"):
         bracket_eval(Character.of(t_monomial(1), -1), EvalPoint((1, 3, 5)))
 
@@ -334,14 +336,13 @@ def test_eval_point_relation():
 
 
 def test_points_reject_floats():
-    p, c = EvalPoint((2, 3, 5), (7,)), CohPoint((2, 3, 5), (7,))
+    p = EvalPoint((2, 3, 5), (7,))
     for build in (
         lambda: EvalPoint((0.1, 2, 3)),
         lambda: EvalPoint((2, 3, 5), (0.5,)),
         lambda: p.with_sqrt_w((0.5,)),
         lambda: CohPoint((0.1, 2, 3)),
         lambda: CohPoint((2, 3, 5), (0.5,)),
-        lambda: c.with_v((0.5,)),
     ):
         with pytest.raises(ValueError, match="float"):
             build()
@@ -370,7 +371,7 @@ def test_bracket_multiplicative_and_dual_sign():
                 continue
             terms[m] = terms.get(m, 0) + rng.choice([1, 2, -1])
         V = Character(terms)
-        if not V.fixed_part().is_zero():
+        if 0 in V.terms:
             continue
         try:
             val = bracket_eval(V, p)
@@ -462,7 +463,7 @@ def _ref_euler(m, q):
 def _by_factors(V, p, ref):
     """``prod ref(m, p) ** mult`` over ``V``, one Fraction factor at a time,
     or the type of the error the measures raise on ``V``."""
-    if not V.fixed_part().is_zero():
+    if 0 in V.terms:
         return TrivialWeightError
     if any(e % 2 for m in V.terms for e in exponents(m)):
         return FractionalPowerError
@@ -538,7 +539,7 @@ def test_derived_points_start_with_no_values():
     euler_eval(W, c)
     assert c.values
     for v in ((4,), (Fraction(5, 12),), (Fraction(-1, 10),)):
-        derived, fresh = c.with_v(v), CohPoint((3, 5, 7), v)
+        derived, fresh = CohPoint(c.s[:3], v), CohPoint((3, 5, 7), v)
         assert (derived.denominator, derived.bases) == (fresh.denominator, fresh.bases)
         assert euler_eval(V, derived) == euler_eval(V, fresh)
         assert euler_eval(W, derived) == euler_eval(W, fresh) != euler_eval(W, c)
@@ -586,7 +587,7 @@ def test_theta_constant_term_is_bracket():
         for m in minus:
             terms[m] = terms.get(m, 0) - 1
         V = Character(terms)
-        if not V.fixed_part().is_zero() or V.rank() != 0:
+        if 0 in V.terms or V.rank() != 0:
             continue
         try:
             f = theta_eval(V, p, 3)
@@ -621,7 +622,7 @@ def _theta_by_products(V, p, order):
     val = QSeries.one(order)
     for m, mult in V.terms.items():
         f = theta_monomial(m, p, order)
-        val = val * (f ** mult if mult >= 0 else f.invert() ** -mult)
+        val = val * (power(f, mult) if mult >= 0 else power(invert(f), -mult))
     assert V.rank() % 12 == 0
     return val.shift(V.rank() // 12)
 
@@ -720,7 +721,7 @@ _integer_weights = st.builds(
 _rank0_characters = st.lists(
     st.tuples(_integer_weights, _integer_weights, st.sampled_from([-2, -1, 1, 2])), max_size=3
 ).map(lambda pairs: sum(
-    (Character({a: c}) - Character({b: c}) for a, b, c in pairs), Character.zero()
+    (Character({a: c}) - Character({b: c}) for a, b, c in pairs), Character()
 ))
 
 
@@ -747,7 +748,7 @@ _MEASURES = [
 
 @given(_rank0_characters, _rank0_characters, st.sampled_from(range(len(_MEASURES))))
 def test_measures_are_multiplicative(A, B, which):
-    assume(A.fixed_part().is_zero() and B.fixed_part().is_zero())
+    assume(0 not in A.terms and 0 not in B.terms)
     measure, point = _MEASURES[which]
     p = point()
     assert measure(A + B, p) == measure(A, p) * measure(B, p)
@@ -756,12 +757,12 @@ def test_measures_are_multiplicative(A, B, which):
 
 
 # rank 24 shifts the series by p^2, past the whole series at order 0
-@example(Character.zero(), 12, 0, 5)
-@example(Character.zero(), 24, 0, 5)
+@example(Character(), 12, 0, 5)
+@example(Character(), 24, 0, 5)
 @given(_rank0_characters, st.sampled_from([0, 12, 24]), st.integers(0, 5), st.integers(0, 5))
 def test_theta_truncation_consistent(V, rank, low, high):
-    assume(V.fixed_part().is_zero())
+    assume(0 not in V.terms)
     V = V + Character.of(t_monomial(1), rank)
     low, high = sorted((low, high))
     p = _generic_point()
-    assert theta_eval(V, p, high).truncate(low) == theta_eval(V, p, low)
+    assert truncate(theta_eval(V, p, high), low) == theta_eval(V, p, low)

@@ -3,6 +3,8 @@
 A module-level import that the module never reads, a function local that is
 assigned but never read, and a function, class or method that no code in the
 package or its tests reads, are left behind when code around them goes away.
+Nor does the package keep a definition for the tests alone: what no package
+code reads is public or a span of the benchmark.
 
 Characters are shared by the caches, so outside ``algebra.py`` no code may
 write into a character's ``terms`` dict.  The benchmark's tracer wraps the
@@ -16,6 +18,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import tetrainst
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "tetrainst"
@@ -163,12 +167,30 @@ def test_no_dead_definitions():
     assert dead_definitions(package, tests) == set()
 
 
-def test_perfbench_spans_exist():
+def test_no_definition_is_read_only_by_tests():
+    """Every definition that no package code reads is in ``tetrainst.__all__``
+    or is a benchmark span; the rest belongs in ``tests/reference.py``.
+
+    It sees what :func:`dead_definitions` sees, so it misses a decorated
+    definition (a classmethod, a property), a dunder, a name that package
+    code reads under the same name from another object, and a name that only
+    another test-only definition reads.
+    """
+    package = [_tree(p) for p in sorted(SRC.glob("*.py"))]
+    entry_points = set(tetrainst.__all__) | {name for _, name in _spans()}
+    assert dead_definitions(package, []) - entry_points == set()
+
+
+def _spans():
+    """``(layer, name)`` of each function the benchmark's tracer wraps."""
     layers = json.loads((TESTS.parent / "perfbench" / "workloads.json").read_text())["layers"]
+    return [(layer, name) for layer, spec in layers.items() for name in spec.get("spans", ())]
+
+
+def test_perfbench_spans_exist():
     missing = [
         f"{layer}.{name}"
-        for layer, spec in layers.items()
-        for name in spec.get("spans", ())
+        for layer, name in _spans()
         if not callable(getattr(importlib.import_module(f"tetrainst.{layer}"), name, None))
     ]
     assert missing == []

