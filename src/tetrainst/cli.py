@@ -69,7 +69,10 @@ def _exit_codes():
         sys.exit(EXIT_INTERNAL)
 
 
-def _emit(doc, out):
+def _emit(command, meta, out, **body):
+    """Write the report of ``command``, with the fields of ``body`` next to
+    its ``meta``, to the file ``out`` or else to stdout."""
+    doc = {"schema": SCHEMA, "version": __version__, "meta": {"command": command, **meta}, **body}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -96,11 +99,7 @@ def compute(rvec, order, mode, p_order, seed, out):
     rv = _parse_rvec(rvec)
     with _exit_codes():
         series, point, tries = sample_series(rv, order, mode, seed, p_order)
-    doc = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "meta": {
-            "command": "compute",
+        meta = {
             "rvec": list(rv),
             "order": order,
             "mode": mode,
@@ -108,11 +107,8 @@ def compute(rvec, order, mode, p_order, seed, out):
             "seed": seed,
             "point": _point_doc(point),
             "points_tried": tries,
-        },
-        "series": series,
-    }
-    with _exit_codes():
-        _emit(doc, out)
+        }
+        _emit("compute", meta, out, series=series)
 
 
 @main.command()
@@ -134,8 +130,8 @@ def compute(rvec, order, mode, p_order, seed, out):
 def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
     """Run verification suites; exit 0 iff every check passes."""
     rv = _parse_rvec(rvec)
-    reports = []
     with _exit_codes():
+        reports = []
         if suite in ("main", "all"):
             reports.append(verify_main(rv, order, seed, points, mode))
         if suite in ("signs", "all"):
@@ -147,12 +143,8 @@ def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
             reports.append(check_euler_characteristics(r, order))
         if suite in ("kappa", "all"):
             reports.append(run_kappa_check([2, 3, 4], max(order, 6), seed, points))
-    passed = all(r.passed for r in reports)
-    doc = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "meta": {
-            "command": "verify",
+        passed = all(r.passed for r in reports)
+        meta = {
             "suite": suite,
             "rvec": list(rv),
             "order": order,
@@ -160,12 +152,8 @@ def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
             "seed": seed,
             "points": points,
             "framings": framings,
-        },
-        "passed": passed,
-        "checks": [asdict(r) for r in reports],
-    }
-    with _exit_codes():
-        _emit(doc, out)
+        }
+        _emit("verify", meta, out, passed=passed, checks=[asdict(r) for r in reports])
     if not passed:
         sys.exit(EXIT_CHECK_FAILED)
 

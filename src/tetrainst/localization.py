@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
+    Character,
     CohPoint,
     EvalPoint,
     PoleAtPointError,
@@ -34,15 +35,7 @@ from .partitions import (
     sign_rho_tilde,
 )
 from .series import QPSeries, QSeries, macmahon_power
-from .vertex import (
-    PBAR,
-    box_weight,
-    build_fixed_point,
-    tilde_vertex,
-    vertex,
-    vertex_block,
-    _half_block,
-)
+from .vertex import PBAR, build_fixed_point, tilde_form, tilde_vertex, vertex, vertex_block
 
 SAMPLER_BOUND = 97
 SAMPLER_MAX_TRIES = 40
@@ -152,9 +145,8 @@ def _characters(config):
         return fp, vertex(fp)
     parent, slot, box = config.parent()
     pfp, pv = _characters(parent)
-    x = box_weight(box, slot[0])
-    fp = build_fixed_point(config, (pfp, slot, x))
-    return fp, vertex(fp, (pfp, pv, slot, x))
+    fp = build_fixed_point(config, (pfp, slot, box))
+    return fp, vertex(fp, (pv, slot, box))
 
 
 def _localization_sum(rvec, order, measure, zero):
@@ -255,30 +247,29 @@ def _identities_hold(identities, p):
 
 def _sign_identities(config):
     """``(sign, lhs, rhs)`` with ``sign * [lhs] == [rhs]`` for each identity
-    of the sign rule, in checking order.  The characters do not depend on the
-    point: :func:`run_sign_sweep` builds them once per configuration and
-    evaluates them at every point."""
+    of the sign rule, in checking order: minus the vertex against the tilde
+    vertex minus ``T Qbar``; per slot, the :func:`tilde_form` of its partition
+    character with ``Pbar_{123}`` against that with its own leg's factor; per
+    slot pair, the generic :func:`vertex_block` (``pleg=4``) against the
+    vertex's own.  The characters do not depend on the point:
+    :func:`run_sign_sweep` builds them once per configuration and evaluates
+    them at every point."""
     fp, v = _characters(config)
     vt = tilde_vertex(fp)
     extra = fp.T * fp.Q.dual()
     sign = -1 if configuration_sign(config) else 1
     out = [(sign, extra - vt, -v)]
 
+    one = Character.one()
     for (i, l), pp in config.slots():
         Z = fp.Z[(i, l)]
-        ZZ = Z * Z.dual()
-        lhs_char = Z - PBAR[4] * ZZ
-        rhs_char = Z - PBAR[i] * ZZ
         s = -1 if sign_rho(embed_to_solid(pp, i)) else 1
-        out.append((s, lhs_char, rhs_char))
+        out.append((s, tilde_form(one, Z, PBAR[4]), tilde_form(one, Z, PBAR[i])))
 
     slots = list(fp.Z)
     for a, (i, l) in enumerate(slots):
         for (j, k) in slots[a + 1 :]:
-            # the generic block takes both P-factors from leg 4 (Pbar_123)
-            lhs_char = _half_block(fp, i, l, j, k, pleg=4) + _half_block(fp, j, k, i, l, pleg=4)
-            rhs_char = vertex_block(fp, i, l, j, k)
-            out.append((1, lhs_char, rhs_char))
+            out.append((1, vertex_block(fp, i, l, j, k, pleg=4), vertex_block(fp, i, l, j, k)))
     return tuple(out)
 
 

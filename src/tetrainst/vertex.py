@@ -95,18 +95,18 @@ def partition_character(pp, i):
 def build_fixed_point(config, parent=None):
     """The slot data of ``config``.
 
-    Given ``parent = (parent_fp, slot, x)``, with ``parent_fp`` the data of
-    ``config.parent()``, ``slot`` as that method returns it and ``x`` the
-    :func:`box_weight` of its box on the slot's leg, only that slot's
-    character is new: it is the parent's plus ``x``, and every other slot's
-    character and the framing weights are shared.
+    Given ``parent = (parent_fp, slot, box)``, with ``parent_fp`` the data of
+    ``config.parent()`` and ``slot`` and ``box`` as that method returns them,
+    only that slot's character is new: it is the parent's plus the box's
+    :func:`box_weight`, and every other slot's character and the framing
+    weights are shared.
     """
     if parent is None:
         Z = {s: partition_character(pp, s[0]) for s, pp in config.slots()}
         return FixedPointData(Z, {s: w_monomial(k) for k, s in enumerate(Z)})
-    pfp, s, x = parent
+    pfp, s, box = parent
     Z = dict(pfp.Z)
-    Z[s] = Character._of_nonzero({**Z[s].terms, x: 1})
+    Z[s] = Character._of_nonzero({**Z[s].terms, box_weight(box, s[0]): 1})
     return FixedPointData(Z, pfp.w)
 
 
@@ -125,13 +125,13 @@ def vertex(fp, parent=None):
     and ``v`` has empty fixed part; a nonzero fixed part signals an internal
     bug and raises.
 
-    Given ``parent = (parent_fp, parent_vertex, slot, x)``, where ``fp`` is
-    ``parent_fp`` with the box of weight ``x`` added to ``slot`` (see
-    ``build_fixed_point``), ``v`` is a copy of the parent's vertex plus the
-    growth, rid of the terms that cancel.  With ``X = w x`` the box's term,
-    ``w`` the slot's framing weight, ``a`` its leg and ``Q_j``, K, T those of
-    the parent,
-    ``v - v_parent = Kbar X - T Xbar - Pbar_{a^} - sum_j Pbar_{max(a,j)^} (X Qbar_j + Q_j Xbar)``:
+    Given ``parent = (parent_vertex, slot, box)``, where ``fp`` is the
+    parent's data with ``box`` added to ``slot`` (see ``build_fixed_point``),
+    ``v`` is a copy of the parent's vertex plus the growth, rid of the terms
+    that cancel.  With ``X = w x`` the box's term, ``w`` the slot's framing
+    weight, ``x`` the box's :func:`box_weight`, ``a`` the slot's leg and
+    ``Q_j``, K, T those of ``fp``,
+    ``v - v_parent = Kbar X - T Xbar + Pbar_{a^} - sum_j Pbar_{max(a,j)^} (X Qbar_j + Q_j Xbar)``:
     O(size) ratios, collected in one dict.  The direct route,
     ``parent=None``, is the formula above in character arithmetic; it serves
     the empty configuration and stays as the independent check of the grown
@@ -155,9 +155,9 @@ def _direct_vertex(fp):
     ])
 
 
-def _grown_vertex(fp, pfp, pv, s, x):
+def _grown_vertex(fp, pv, s, box):
     a = s[0]
-    X = fp.w[s] + x
+    X = fp.w[s] + box_weight(box, a)
     terms = dict(pv.terms)
     get = terms.get
     for (i, _), w in fp.w.items():  # Kbar X - T Xbar
@@ -165,11 +165,12 @@ def _grown_vertex(fp, pfp, pv, s, x):
         terms[m] = get(m, 0) + 1
         terms[n] = get(n, 0) - 1
     # k -> the terms of X Qbar_j + Q_j Xbar over the legs with max(a, j) = k;
-    # X Xbar = 1 gives the term Pbar_{a^}
-    ratios = {a: {0: 1}}
+    # the count at weight 0 starts at -1 for the term +Pbar_{a^}, since Q_a
+    # holds X and X Xbar = 1
+    ratios = {a: {0: -1}}
     for (j, l), w in fp.w.items():
         r = ratios.setdefault(max(a, j), {})
-        for y, c in pfp.Z[(j, l)].terms.items():
+        for y, c in fp.Z[(j, l)].terms.items():
             d = X - y - w
             r[d] = r.get(d, 0) + c
             r[-d] = r.get(-d, 0) + c
@@ -182,9 +183,7 @@ def _grown_vertex(fp, pfp, pv, s, x):
 
 
 def _half_block(fp, i, l, j, k, pleg):
-    # w_il^(-1) w_jk (Z_jk - kappa_j^(-1) Zbar_il - Pbar_{p1p2p3} Z_jk Zbar_il)
-    # where the P-factor is indexed by pleg; for a same-leg pair that is the
-    # leg, for a mixed-leg pair both orientations take the larger leg.
+    # w_il^(-1) w_jk (Z_jk - kappa_j^(-1) Zbar_il - Pbar_{pleg^} Z_jk Zbar_il)
     wfac = Character.of(fp.w[(j, k)] - fp.w[(i, l)])
     Zjk = fp.Z[(j, k)]
     Zil_d = fp.Z[(i, l)].dual()
@@ -192,26 +191,36 @@ def _half_block(fp, i, l, j, k, pleg):
     return wfac * (Zjk - kappa_inv * Zil_d - PBAR[pleg] * Zjk * Zil_d)
 
 
-def vertex_block(fp, i, l, j, k):
+def vertex_block(fp, i, l, j, k, pleg=None):
     """Block of the vertex term for the slot pair ``(i,l) <= (j,k)``.
 
-    Summing the blocks over all ordered slot pairs reproduces ``vertex(fp)``
-    exactly.  Blocks on the same leg with ``l < k`` bundle both w-orientations.
+    The half block of ``(i,l) -> (j,k)`` plus, off the diagonal, that of
+    ``(j,k) -> (i,l)``; both halves take the P-factor ``Pbar_{pleg^}``.
+    With the default ``pleg = j``, the larger leg of the pair, summing the
+    blocks over all ordered slot pairs reproduces ``vertex(fp)`` exactly.
+    The sign rule's generic block is ``pleg=4``, whose factor is
+    ``Pbar_{123}``.
     """
     if (i, l) > (j, k):
         raise ValueError("slot pair must be lexicographically ordered")
-    if i == j:
-        block = _half_block(fp, i, l, j, k, pleg=j)
-        if l != k:
-            block = block + _half_block(fp, i, k, j, l, pleg=j)
-        return block
-    return _half_block(fp, i, l, j, k, pleg=j) + _half_block(fp, j, k, i, l, pleg=j)
+    pleg = j if pleg is None else pleg
+    block = _half_block(fp, i, l, j, k, pleg)
+    if (i, l) != (j, k):
+        block = block + _half_block(fp, j, k, i, l, pleg)
+    return block
+
+
+def tilde_form(K, Q, pbar):
+    """``Kbar Q - pbar Q Qbar`` for the characters ``K`` and ``Q`` and the
+    P-factor ``pbar``, one of the ``PBAR`` values."""
+    return K.dual() * Q - pbar * (Q * Q.dual())
 
 
 def tilde_vertex(fp):
-    """Rank-agnostic square-root variant ``Kbar*Q - Pbar_{123}*Q*Qbar``."""
-    Q = fp.Q
-    v = fp.K.dual() * Q - PBAR[4] * Q * Q.dual()
+    """Rank-agnostic square-root variant ``Kbar*Q - Pbar_{123}*Q*Qbar``, the
+    :func:`tilde_form` of the fixed point's K and Q; a nonzero fixed part
+    signals an internal bug and raises."""
+    v = tilde_form(fp.K, fp.Q, PBAR[4])
     if 0 in v.terms:
         raise TrivialWeightError("tilde vertex has a nonzero fixed part")
     return v

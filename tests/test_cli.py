@@ -158,13 +158,26 @@ def test_unwritable_out_exits_internal(tmp_path, argv):
     assert "FileNotFoundError" in result.output
 
 
-def test_failed_check_exits_check_failed(monkeypatch):
+def _fail_euler_check(monkeypatch):
     def failing(r, order):
         report = CheckReport("euler-characteristics", (r, 0, 0, 0), order)
         report.record(False)
         return report
 
     monkeypatch.setattr(cli, "check_euler_characteristics", failing)
+
+
+def test_failed_check_exits_check_failed(monkeypatch):
+    _fail_euler_check(monkeypatch)
     result = run_cli(["verify", "--suite", "euler", "--r", "1", "--order", "1"])
     assert result.exit_code == cli.EXIT_CHECK_FAILED
     assert json.loads(result.stdout)["passed"] is False
+
+
+def test_unwritable_out_wins_over_a_failed_check(monkeypatch, tmp_path):
+    # the report is written before the failed check sets the exit code
+    _fail_euler_check(monkeypatch)
+    out = tmp_path / "no" / "such" / "x.json"
+    result = run_cli(["verify", "--suite", "euler", "--r", "1", "--order", "1", "--out", str(out)])
+    assert result.exit_code == cli.EXIT_INTERNAL
+    assert "FileNotFoundError" in result.output

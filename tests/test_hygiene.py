@@ -6,9 +6,10 @@ package or its tests reads, are left behind when code around them goes away.
 Nor does the package keep a definition for the tests alone: what no package
 code reads is public or a span of the benchmark.
 
-Characters are shared by the caches, so outside ``algebra.py`` no code may
-write into a character's ``terms`` dict.  The benchmark's tracer wraps the
-functions ``perfbench/workloads.json`` names per layer, so each must exist.
+No module imports another package module's private name.  Characters are
+shared by the caches, so outside ``algebra.py`` no code may write into a
+character's ``terms`` dict.  The benchmark's tracer wraps the functions
+``perfbench/workloads.json`` names per layer, so each must exist.
 """
 
 import ast
@@ -120,6 +121,19 @@ def dead_definitions(package, tests):
     }
 
 
+def private_imports(tree):
+    """Private names (a leading underscore, dunders aside) that ``tree``
+    imports from a module of the package."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "tetrainst")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    }
+
+
 _DICT_MUTATORS = {"__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"}
 
 
@@ -159,6 +173,11 @@ def test_no_unread_function_locals(path):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "algebra.py"], ids=lambda p: p.name)
 def test_characters_are_not_written_outside_algebra(path):
     assert terms_writes(_tree(path)) == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    assert private_imports(_tree(path)) == set()
 
 
 def test_no_dead_definitions():
@@ -237,6 +256,19 @@ def test_the_scan_finds_dead_definitions():
     # sum(...) is no read of the method Series.sum
     assert dead_definitions([package], [tests]) == {"VariableRegistry", "slot", "sum"}
     assert dead_definitions([package], []) == {"VariableRegistry", "slot", "half", "sum", "total"}
+
+
+def test_the_scan_finds_private_imports():
+    tree = ast.parse(
+        "from . import __version__\n"
+        "from .vertex import PBAR, _half_block\n"
+        "from tetrainst.algebra import _root as root\n"
+        "from fractions import _gcd\n"
+        "def f():\n"
+        "    from ..series import _coeffs\n"
+    )
+    # a dunder and another package's private name are allowed
+    assert private_imports(tree) == {"_half_block", "_root", "_coeffs"}
 
 
 def test_the_scan_finds_writes_into_terms():

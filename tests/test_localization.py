@@ -23,7 +23,7 @@ from tetrainst.localization import (
 )
 from tetrainst.partitions import Configuration, PlanePartition, enumerate_configurations
 from tetrainst.series import QSeries
-from tetrainst.vertex import build_fixed_point, tilde_vertex
+from tetrainst.vertex import build_fixed_point, tilde_vertex, vertex_block
 
 from reference import truncate
 
@@ -183,6 +183,24 @@ def test_sign_sweep():
     rep = run_sign_sweep((1, 0, 1, 0), 2, 23, 2)
     assert rep.passed
     assert rep.points_used == 2
+
+
+@pytest.mark.parametrize("rvec", [(1, 1, 0, 0), (2, 0, 0, 1)])
+def test_sign_rule_pair_identities_are_not_trivial(rvec):
+    # the default P-factor is the pair's larger leg, not leg 4's Pbar_123;
+    # were it leg 4, each pair identity would compare a block with itself
+    nontrivial = 0
+    for n in range(3):
+        for config in enumerate_configurations(rvec, n):
+            fp = localization._characters(config)[0]
+            slots = list(fp.Z)
+            for a, (i, l) in enumerate(slots):
+                for (j, k) in slots[a:]:
+                    assert vertex_block(fp, i, l, j, k) == vertex_block(fp, i, l, j, k, pleg=j)
+            pairs = localization._sign_identities(config)[1 + len(slots) :]
+            assert len(pairs) == len(slots) * (len(slots) - 1) // 2
+            nontrivial += sum(lhs != rhs for _, lhs, rhs in pairs)
+    assert nontrivial > 0
 
 
 def test_rho_tilde_sweep():
