@@ -309,11 +309,6 @@ def _bracket_pair(m, p):
     return n * n - d * d, n * d
 
 
-def bracket_monomial(m, p):
-    """``[m] = m^(1/2) - m^(-1/2)`` evaluated at ``p``."""
-    return _product(Character.of(m), p, _bracket_pair, "bracket")
-
-
 def _product(V, p, weigh, what):
     """``prod weigh(m, p) ** mult`` over the terms of a movable character;
     the one place a measure is evaluated and a point found degenerate.

@@ -1,7 +1,8 @@
 """Command-line driver: compute series and run verification suites.
 
-All report output is deterministic UTF-8 JSON with a top-level "schema" key;
-every rational number is serialized as a "num/den" string, never as a float.
+The checks hand this module exact values, and it alone writes them as text:
+every report is deterministic UTF-8 JSON with a top-level "schema" key, in
+which every rational number is a "num/den" string, never a float.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid configuration,
 3 the point sampler was exhausted, 4 an internal invariant was violated or
@@ -15,20 +16,23 @@ import sys
 import traceback
 from contextlib import contextmanager
 from dataclasses import asdict
+from fractions import Fraction
 
 import click
 
 from . import __version__
 from .algebra import CohPoint, EvalPoint, SamplerExhaustedError
 from .localization import (
+    MODES,
     check_euler_characteristics,
     check_framing_independence,
     run_kappa_check,
     run_sign_sweep,
-    sample_series,
+    sample_until,
     verify_main,
 )
 from .partitions import rank_vector
+from .series import QSeries
 
 SCHEMA = "tetrainst-report/1"
 
@@ -44,15 +48,20 @@ def _parse_rvec(text):
         raise click.UsageError(f"rvec must be 4 comma-separated nonnegative integers, got {text!r}") from None
 
 
-def _point_doc(point):
-    if isinstance(point, EvalPoint):
-        return {
-            "sqrt_t": [str(a) for a in point.sqrt_t],
-            "sqrt_w": [str(b) for b in point.sqrt_w],
-        }
-    if isinstance(point, CohPoint):
-        return {"s": [str(s) for s in point.s], "v": [str(x) for x in point.v]}
-    raise TypeError(f"unknown point type {type(point)!r}")
+def _plain(value):
+    """The JSON form of a value that ``json`` cannot write itself: a
+    ``Fraction`` is its "num/den" string, a ``QSeries`` its coefficients and
+    a point its coordinates by name.  Anything else raises ``TypeError``,
+    which exits 4."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, QSeries):
+        return value.coeffs
+    if isinstance(value, EvalPoint):
+        return {"sqrt_t": value.sqrt_t, "sqrt_w": value.sqrt_w}
+    if isinstance(value, CohPoint):
+        return {"s": value.s, "v": value.v}
+    raise TypeError(f"cannot write a {type(value).__name__} in a report")
 
 
 @contextmanager
@@ -71,9 +80,12 @@ def _exit_codes():
 
 def _emit(command, meta, out, **body):
     """Write the report of ``command``, with the fields of ``body`` next to
-    its ``meta``, to the file ``out`` or else to stdout."""
+    its ``meta``, to the file ``out`` or else to stdout.
+
+    The one place a report becomes text: ``meta`` and ``body`` hold exact
+    values, and :func:`_plain` writes each one ``json`` cannot."""
     doc = {"schema": SCHEMA, "version": __version__, "meta": {"command": command, **meta}, **body}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_plain) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -98,14 +110,14 @@ def compute(rvec, order, mode, p_order, seed, out):
     """Compute the partition function series at a sampled point."""
     rv = _parse_rvec(rvec)
     with _exit_codes():
-        series, point, tries = sample_series(rv, order, mode, seed, p_order)
+        series, point, tries = sample_until(lambda p: MODES[mode](rv, order, p_order, p), seed, rv, mode)
         meta = {
             "rvec": list(rv),
             "order": order,
             "mode": mode,
             "p_order": p_order if mode == "elliptic" else None,
             "seed": seed,
-            "point": _point_doc(point),
+            "point": point,
             "points_tried": tries,
         }
         _emit("compute", meta, out, series=series)
@@ -142,7 +154,7 @@ def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
             r = rank if rank is not None else sum(rv)
             reports.append(check_euler_characteristics(r, order))
         if suite in ("kappa", "all"):
-            reports.append(run_kappa_check([2, 3, 4], max(order, 6), seed, points))
+            reports.append(run_kappa_check(max(order, 6), seed, points))
         passed = all(r.passed for r in reports)
         meta = {
             "suite": suite,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .algebra import Character, bracket_eval, bracket_monomial, euler_eval, eval_monomial, monomial, t_monomial
+from .algebra import Character, bracket_eval, euler_eval, eval_monomial, monomial, t_monomial
 from .partitions import rank_vector
 from .series import QSeries, macmahon_power, plethystic_exp, rational
 
@@ -55,7 +55,7 @@ def closed_Z_K(rvec, order, p):
         a_val = bracket_eval(Character({n * m: c for m, c in _A_CHAR.terms.items()}), p)
         coeffs = [Fraction(0)]
         for m in range(1, order // n + 1):  # plethystic_exp reads no further
-            coeffs.append(a_val * bracket_monomial(n * m * kap, p))
+            coeffs.append(a_val * bracket_eval(Character.of(n * m * kap), p))
         return QSeries(coeffs)
 
     g = plethystic_exp(body, order)

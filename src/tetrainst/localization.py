@@ -39,11 +39,16 @@ from .vertex import PBAR, build_fixed_point, tilde_form, tilde_vertex, vertex, v
 
 SAMPLER_BOUND = 97
 SAMPLER_MAX_TRIES = 40
+KAPPA_RANKS = (2, 3, 4)
 
 
 @dataclass
 class CheckReport:
-    """Outcome of one verification check; deterministic given its inputs."""
+    """Outcome of one verification check; deterministic given its inputs.
+
+    Each entry of ``details`` holds exact values (ints, ``Fraction``s,
+    ``QSeries``), never their text: the CLI alone writes a report as text.
+    """
 
     name: str
     rvec: tuple = None
@@ -66,10 +71,6 @@ class CheckReport:
         self.points_tried += tries
         self.points_used += 1
         return result
-
-
-def _series_strings(f):
-    return [str(c) for c in f.coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -190,40 +191,30 @@ def Z_loc_ell(rvec, q_order, p_order, p):
 
 def _series_k(rvec, order, p_order, point):
     return {
-        "localization": _series_strings(Z_loc_K(rvec, order, point)),
-        "closed": _series_strings(closed_Z_K(rvec, order, point)),
-        "factorized": _series_strings(factorized_Z(rvec, order, point)),
+        "localization": Z_loc_K(rvec, order, point),
+        "closed": closed_Z_K(rvec, order, point),
+        "factorized": factorized_Z(rvec, order, point),
     }
 
 
 def _series_coh(rvec, order, p_order, point):
     return {
-        "localization": _series_strings(Z_loc_coh(rvec, order, point)),
-        "closed": _series_strings(closed_Z_coh(rvec, order, point)),
+        "localization": Z_loc_coh(rvec, order, point),
+        "closed": closed_Z_coh(rvec, order, point),
     }
 
 
 def _series_elliptic(rvec, order, p_order, point):
     ell = Z_loc_ell(rvec, order, p_order, point)
     return {
-        "localization_rows": [_series_strings(r) for r in ell.rows],
-        "p0_slice": _series_strings(ell.p_slice(0)),
-        "closed": _series_strings(closed_Z_K(rvec, order, point)),
+        "localization_rows": ell.rows,
+        "p0_slice": ell.p_slice(0),
+        "closed": closed_Z_K(rvec, order, point),
     }
 
 
-# mode -> the report's series at a point of that mode
+# mode -> the report's series at a point of that mode, by route name
 MODES = {"k": _series_k, "coh": _series_coh, "elliptic": _series_elliptic}
-
-
-def sample_series(rvec, order, mode, seed, p_order=None):
-    """The report's series for ``mode`` at the first pole-free point from ``seed``.
-
-    Returns ``(series, point, tries)`` as :func:`sample_until` does; ``series``
-    maps each route's name to its coefficient strings.
-    """
-    series_at = MODES[mode]
-    return sample_until(lambda point: series_at(rvec, order, p_order, point), seed, rvec, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +307,6 @@ def verify_main(rvec, order, seed, num_points=5, mode="k"):
     series_at = MODES[mode]
     for idx in range(num_points):
         series = report.sample(lambda point: series_at(rvec, order, None, point), seed + idx, mode)
-        # Fraction strings are in lowest terms, so equal strings mean equal values
         ok = all(f == series["closed"] for f in series.values())
         report.record(ok, point_index=idx, **series)
     return report
@@ -344,7 +334,7 @@ def check_framing_independence(rvec, order, seed, num_framings=3):
     series = report.sample(run, seed, "k")
     base = series[0]
     for idx, f in enumerate(series[1:], start=1):
-        report.record(f == base, framing_index=idx, series=_series_strings(f))
+        report.record(f == base, framing_index=idx, series=f)
     return report
 
 
@@ -355,20 +345,20 @@ def check_euler_characteristics(r, order):
     for n in range(order + 1):
         count = len(enumerate_configurations((r, 0, 0, 0), n))
         want = expected.coefficient(n)
-        report.record(
-            want == count, n=n, configurations=count, macmahon_coefficient=str(want)
-        )
+        report.record(want == count, n=n, configurations=count, macmahon_coefficient=want)
     return report
 
 
-def run_kappa_check(ranks, order, seed, num_samples=3):
-    """The standalone weight identity at random positive square-root weights."""
+def run_kappa_check(order, seed, num_samples=3):
+    """The standalone weight identity at ``num_samples`` random positive
+    square-root weights for each rank of ``KAPPA_RANKS``, recorded as exact
+    values."""
     report = CheckReport("kappa-identity", None, order, seed)
     rng = random.Random(seed)
-    for r in ranks:
+    for r in KAPPA_RANKS:
         for s in range(num_samples):
             used = set()
             bs = [_draw_positive(rng, used) for _ in range(r)]
             ok = check_kappa_identity(bs, order)
-            report.record(ok, r=r, sample=s, sqrt_weights=[str(b) for b in bs])
+            report.record(ok, r=r, sample=s, sqrt_weights=bs)
     return report

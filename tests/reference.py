@@ -18,7 +18,7 @@ or a predicate the package never needs at run time, so none of it is in
 
 from fractions import Fraction
 
-from tetrainst.algebra import Character, bracket_monomial, eval_monomial, monomial, t_monomial
+from tetrainst.algebra import Character, bracket_eval, eval_monomial, monomial, t_monomial
 from tetrainst.formulas import rank1_Z
 from tetrainst.series import BadConstantTermError, QSeries
 from tetrainst.vertex import vertex_block
@@ -96,10 +96,10 @@ def theta_monomial(m, p, order):
 
     Returns ``[x] * prod_{n>=1} (1 - x p^n)(1 - 1/x p^n)`` truncated at
     ``order``; the ``p^(1/12)`` prefactor is tracked by the caller.  The
-    constant term is ``bracket_monomial(m, p)``.
+    constant term is ``bracket_eval(Character.of(m), p)``.
     """
     y = eval_monomial(m, p)
-    f = QSeries.constant(bracket_monomial(m, p), order)
+    f = QSeries.constant(bracket_eval(Character.of(m), p), order)
     for n in range(1, order + 1):
         f = f * binomial(-y, n, order)
         f = f * binomial(-1 / y, n, order)

@@ -17,7 +17,6 @@ from tetrainst.algebra import (
     TrivialWeightError,
     _root,
     bracket_eval,
-    bracket_monomial,
     eval_monomial,
     euler_eval,
     exponents,
@@ -332,7 +331,7 @@ def test_eval_point_relation():
     # the third Adams power of a weight is its packed int times 3
     m = t_monomial(1) + t_monomial(3, -1)
     cubed = EvalPoint((Fraction(8, 27), 125, 343))
-    assert bracket_monomial(3 * m, p) == bracket_monomial(m, cubed)
+    assert bracket_eval(Character.of(3 * m), p) == bracket_eval(Character.of(m), cubed)
 
 
 def test_points_reject_floats():
@@ -352,10 +351,10 @@ def test_points_reject_floats():
 
 def test_bracket_basics():
     p = EvalPoint((2, 3, 5))
-    assert bracket_monomial(t_monomial(1), p) == Fraction(3, 2)
-    assert bracket_monomial(t_monomial(1, -1), p) == Fraction(-3, 2)
+    assert bracket_eval(Character.of(t_monomial(1)), p) == Fraction(3, 2)
+    assert bracket_eval(Character.of(t_monomial(1, -1)), p) == Fraction(-3, 2)
     with pytest.raises(TrivialWeightError):
-        bracket_monomial(0, p)
+        bracket_eval(Character.of(0), p)
     with pytest.raises(TrivialWeightError):
         bracket_eval(Character.one(), p)
 
@@ -391,7 +390,7 @@ def test_bracket_pole():
         with pytest.raises(PoleAtPointError):
             bracket_eval(Character.of(t_monomial(1), mult), p)
     with pytest.raises(PoleAtPointError):
-        bracket_monomial(t_monomial(1), p)
+        bracket_eval(Character.of(t_monomial(1)), p)
 
 
 def test_zero_over_zero_is_a_pole_in_either_term_order():
@@ -548,7 +547,7 @@ def test_derived_points_start_with_no_values():
 def test_bracket_needs_integer_weight():
     p = EvalPoint((2, 3, 5))
     with pytest.raises(FractionalPowerError):
-        bracket_monomial(monomial((1, 0, 0, 0)), p)
+        bracket_eval(Character.of(monomial((1, 0, 0, 0))), p)
 
 
 def test_euler_basics():
@@ -736,7 +735,7 @@ def test_adams_power_is_a_multiple_of_the_weight(m, n):
     assume(m)
     p = _generic_point()
     powered = EvalPoint([a ** n for a in p.sqrt_t[:3]], [b ** n for b in p.sqrt_w])
-    assert bracket_monomial(n * m, p) == bracket_monomial(m, powered)
+    assert bracket_eval(Character.of(n * m), p) == bracket_eval(Character.of(m), powered)
 
 
 _MEASURES = [

@@ -1,10 +1,12 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
-from tetrainst import cli
+from tetrainst import cli, localization
 from tetrainst.cli import main
 from tetrainst.localization import CheckReport
 
@@ -128,6 +130,7 @@ PINNED_REPORTS = [
     # a pole partway through the sum: the second point reuses a half-filled build cache
     ("compute --rvec 1,1,1,1 --order 4 --mode coh --seed 10", "6e2b0d2038b56948512e01e1d07f41820b5e02794992bca7e686e4c88daa04e1"),
     ("compute --rvec 1,0,0,0 --order 6 --seed 0", "407eb14251204834311ab1d5d4919a884cdf7149422a455739e623ecdabec3f1"),
+    ("verify --suite all --rvec 0,0,0,2 --order 3 --mode coh --points 2 --seed 4", "09708775b9e8c2a100a3ede03fae16845da379f3fd79271ab4dd808c65aea372"),
 ]
 
 
@@ -156,6 +159,38 @@ def test_unwritable_out_exits_internal(tmp_path, argv):
     result = run_cli([*argv, "--out", str(tmp_path / "no" / "such" / "x.json")])
     assert result.exit_code == cli.EXIT_INTERNAL
     assert "FileNotFoundError" in result.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--rvec", "0,0,0,1", "--order", "1"],
+    ["verify", "--suite", "main", "--rvec", "0,0,0,1", "--order", "1"],
+])
+def test_sampler_exhausted_exits_sampler(monkeypatch, argv):
+    monkeypatch.setattr(localization, "SAMPLER_MAX_TRIES", 0)
+    result = run_cli(argv)
+    assert result.exit_code == cli.EXIT_SAMPLER
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: no pole-free point in 0 tries")
+
+
+@given(st.fractions())
+def test_plain_writes_a_fraction_that_reads_back(x):
+    assert Fraction(cli._plain(x)) == x
+
+
+def test_plain_rejects_an_unknown_value(monkeypatch):
+    with pytest.raises(TypeError):
+        cli._plain(object())
+
+    def odd(r, order):
+        report = CheckReport("euler-characteristics", (r, 0, 0, 0), order)
+        report.record(True, value=object())
+        return report
+
+    monkeypatch.setattr(cli, "check_euler_characteristics", odd)
+    result = run_cli(["verify", "--suite", "euler", "--r", "1", "--order", "1"])
+    assert result.exit_code == cli.EXIT_INTERNAL
+    assert "TypeError" in result.output
 
 
 def _fail_euler_check(monkeypatch):

@@ -244,6 +244,15 @@ def test_verify_main_coh():
     assert rep.passed
 
 
+def test_verify_main_records_the_series_themselves():
+    rvec, order, seed = (1, 1, 0, 0), 2, 1
+    rep = verify_main(rvec, order, seed, 2)
+    for idx, detail in enumerate(rep.details):
+        _, point, _ = sample_until(lambda p: localization.MODES["k"](rvec, order, None, p), seed + idx, rvec, "k")
+        assert isinstance(detail["localization"], QSeries)
+        assert detail["localization"] == Z_loc_K(rvec, order, point)
+
+
 def test_verify_main_bad_mode():
     with pytest.raises(ValueError):
         verify_main((0, 0, 0, 1), 1, 1, 1, "elliptic")
@@ -259,7 +268,7 @@ def test_euler_characteristics():
 
 
 def test_kappa_check():
-    rep = run_kappa_check([2, 3, 4], 6, 43, 2)
+    rep = run_kappa_check(6, 43, 2)
     assert rep.passed
 
 
