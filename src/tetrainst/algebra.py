@@ -49,10 +49,6 @@ class FractionalPowerError(ValueError):
     """An operation needs an integer power but got a genuine half-integer."""
 
 
-class SamplerExhaustedError(RuntimeError):
-    """The pole-avoiding sampler hit its retry cap."""
-
-
 FIELD_BITS = 32
 _HALF = 1 << (FIELD_BITS - 1)
 _MASK = (1 << FIELD_BITS) - 1

@@ -21,9 +21,10 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .algebra import CohPoint, EvalPoint, SamplerExhaustedError
+from .algebra import CohPoint, EvalPoint
 from .localization import (
     MODES,
+    SamplerExhaustedError,
     check_euler_characteristics,
     check_framing_independence,
     run_kappa_check,

@@ -27,9 +27,16 @@ def sgn(x):
     return (x > 0) - (x < 0)
 
 
+def _kappa_power(exps):
+    """The packed weight ``prod_j kappa_j^(e_j)``, ``kappa_j = t_j^(-1)``, for
+    the four ints or half-integer ``Fraction``s ``e_j`` of ``exps``, each
+    doubled once into the t-exponents that :func:`monomial` packs."""
+    return monomial([int(-2 * e) for e in exps])
+
+
 def kappa_rbar(rvec):
-    """``kappa_rbar = prod_i t_i^(-r_i)`` as a packed weight."""
-    return monomial(tuple(-2 * ri for ri in rank_vector(rvec)))
+    """``kappa_rbar = prod_j kappa_j^(r_j) = prod_j t_j^(-r_j)`` as a packed weight."""
+    return _kappa_power(rank_vector(rvec))
 
 
 # [t1t2][t1t3][t2t3] / ([t1][t2][t3][t4]) as a virtual character
@@ -59,7 +66,7 @@ def closed_Z_K(rvec, order, p):
         return QSeries(coeffs)
 
     g = plethystic_exp(body, order)
-    return g.q_scale(sign=(-1) ** sum(rvec))
+    return g.q_scale((-1) ** sum(rvec))
 
 
 def rank1_Z(i, order, p):
@@ -69,17 +76,14 @@ def rank1_Z(i, order, p):
 
 
 def factorization_scale(rvec, i, l):
-    """The kappa-monomial rescaling the rank-1 factor in slot ``(i, l)``.
-
-    The doubled-exponent storage keeps the genuine half powers exact:
-    the monomial is ``kappa_i^((-r_i-1)/2 + l) * prod_j kappa_j^(r_j*sgn(i-j)/2)``.
-    """
+    """The kappa-monomial rescaling the rank-1 factor in slot ``(i, l)``:
+    ``kappa_i^((-r_i-1)/2 + l) * prod_(j != i) kappa_j^(r_j*sgn(i-j)/2)``.
+    The half powers are exact ``Fraction`` exponents."""
     rvec = rank_vector(rvec)
-    texp = [0, 0, 0, 0]
-    texp[i - 1] += -(-(rvec[i - 1]) - 1 + 2 * l)  # kappa_i = t_i^(-1), doubled
-    for j in range(1, 5):
-        texp[j - 1] += rvec[j - 1] * sgn(i - j) * (-1)
-    return monomial(texp)
+    return _kappa_power(
+        Fraction(-rj - 1, 2) + l if j == i else Fraction(rj * sgn(i - j), 2)
+        for j, rj in enumerate(rvec, start=1)
+    )
 
 
 def factorized_Z(rvec, order, p):
@@ -93,7 +97,7 @@ def factorized_Z(rvec, order, p):
         z = rank1_Z(i, order, p)
         for l in range(1, rvec[i - 1] + 1):
             c = eval_monomial(factorization_scale(rvec, i, l), p)
-            out = out * z.q_scale(c, sign)
+            out = out * z.q_scale(sign * c)
     return out
 
 
@@ -103,7 +107,7 @@ def closed_Z_coh(rvec, order, p):
     rvec = rank_vector(rvec)
     rs = sum(ri * si for ri, si in zip(rvec, p.s))
     alpha = -euler_eval(_A_CHAR, p) * rs
-    return macmahon_power(alpha, order).q_scale(sign=(-1) ** sum(rvec))
+    return macmahon_power(alpha, order).q_scale((-1) ** sum(rvec))
 
 
 def check_kappa_identity(sqrt_xs, order):

@@ -20,7 +20,6 @@ from .algebra import (
     CohPoint,
     EvalPoint,
     PoleAtPointError,
-    SamplerExhaustedError,
     bracket_eval,
     euler_eval,
     theta_eval,
@@ -40,6 +39,10 @@ from .vertex import PBAR, build_fixed_point, tilde_form, tilde_vertex, vertex, v
 SAMPLER_BOUND = 97
 SAMPLER_MAX_TRIES = 40
 KAPPA_RANKS = (2, 3, 4)
+
+
+class SamplerExhaustedError(RuntimeError):
+    """The pole-avoiding sampler hit its retry cap."""
 
 
 @dataclass

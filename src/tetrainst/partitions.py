@@ -202,30 +202,25 @@ def embed_to_solid(pp, i):
     """See a plane partition as a solid partition with the i-th coordinate 0."""
     if not 1 <= i <= 4:
         raise ValueError("leg index must be 1..4")
-    boxes = []
-    for box in pp:
-        quad = list(box)
-        quad.insert(i - 1, 0)
-        boxes.append(tuple(quad))
-    return SolidPartition(boxes)
+    return SolidPartition(box[: i - 1] + (0,) + box[i - 1 :] for box in pp)
 
 
 def sign_rho(sp):
-    """Parity of boxes of shape ``(a,a,a,d)`` with ``a < d``."""
-    return sum(1 for (a, b, c, d) in sp.boxes if a == b == c < d) % 2
+    """Nekrasov-Piazzalunga's rho: the parity of boxes ``(a, a, a, d)`` with
+    ``a < d``, which is :func:`sign_rho_tilde` at leg 4."""
+    return sign_rho_tilde(sp, 4)
 
 
 def sign_rho_tilde(sp, i):
-    """Parity of boxes whose three coordinates other than the i-th are equal
-    and strictly less than the i-th; zero on every embedded plane partition."""
+    """Parity of boxes whose other three coordinates, ``box[:i-1] + box[i:]``
+    as :func:`embed_to_solid` inserts the i-th, are equal and strictly less
+    than the i-th; zero on every embedded plane partition."""
     if not 1 <= i <= 4:
         raise ValueError("leg index must be 1..4")
-    others = [k for k in range(4) if k != i - 1]
     count = 0
     for box in sp.boxes:
-        vals = [box[k] for k in others]
-        if vals[0] == vals[1] == vals[2] < box[i - 1]:
-            count += 1
+        a, b, c = box[: i - 1] + box[i:]
+        count += a == b == c < box[i - 1]
     return count % 2
 
 

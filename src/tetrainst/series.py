@@ -2,12 +2,13 @@
 
 A :class:`QSeries` of order ``N`` stores coefficients ``c_0..c_N``; every
 operation is exact and truncation-consistent (computing at a higher order and
-truncating gives the same result).  :class:`QPSeries` is the bigraded variant
-used for the elliptic partition function.  The module holds what the partition
-functions use: sums, products, ``exp`` and the plethystic exponential.  The
-product form of the MacMahon series, and the log, inverse and powers of a
-series that it needs, are in ``tests/reference.py``, which checks
-:func:`macmahon_power` against them.
+truncating gives the same result), and a float coefficient or scale factor is
+inexact, so it raises ``ValueError``.  :class:`QPSeries` is the bigraded
+variant used for the elliptic partition function.  The module holds what the
+partition functions use: sums, products, ``exp`` and the plethystic
+exponential.  The product form of the MacMahon series, and the log, inverse
+and powers of a series that it needs, are in ``tests/reference.py``, which
+checks :func:`macmahon_power` against them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class QSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is Fraction else rational(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least its constant term")
 
@@ -104,9 +105,9 @@ class QSeries:
             raise ValueError("negative shift of a series with nonzero low-order terms")
         return QSeries(self.coeffs[-k:] + (0,) * (-k))
 
-    def q_scale(self, c=1, sign=1):
-        """Substitute ``q -> (sign*c)*q``: coefficient ``c_n -> c_n*(sign*c)^n``."""
-        factor = Fraction(sign) * Fraction(c)
+    def q_scale(self, c):
+        """Substitute ``q -> c*q`` for a rational ``c``: ``c_n -> c_n*c^n``."""
+        factor = rational(c)
         return QSeries([coef * factor ** n for n, coef in enumerate(self.coeffs)])
 
     def __repr__(self):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -111,6 +112,27 @@ def test_factorization_scale_exponents():
     assert factorization_scale((2, 0, 0, 0), 1, 2) == monomial((-1, 0, 0, 0))
     # a single rank-1 slot carries no rescaling at all
     assert factorization_scale((0, 0, 0, 1), 4, 1) == 0
+
+
+def _packed_kappa_power(exps):
+    """``prod_j kappa_j^(e_j)`` with ``kappa_j = t_j^(-1)``: ``monomial`` takes
+    the doubled t-exponents ``-2 e_j``, each an int."""
+    doubled = [-2 * Fraction(e) for e in exps]
+    assert all(d.denominator == 1 for d in doubled)
+    return monomial([int(d) for d in doubled])
+
+
+def test_kappa_powers_are_the_docstring_exponents():
+    slots = 0
+    for rvec in product(range(4), repeat=4):
+        assert kappa_rbar(rvec) == _packed_kappa_power(rvec)
+        for i in range(1, 5):
+            for l in range(1, rvec[i - 1] + 1):
+                exps = [Fraction(rj * ((i > j) - (i < j)), 2) for j, rj in enumerate(rvec, start=1)]
+                exps[i - 1] = Fraction(-rvec[i - 1] - 1, 2) + l
+                assert factorization_scale(rvec, i, l) == _packed_kappa_power(exps)
+                slots += 1
+    assert slots == 1536
 
 
 def test_factorized_rank1_is_rank1():

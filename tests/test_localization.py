@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetrainst import localization, partitions
-from tetrainst.algebra import CohPoint, EvalPoint, PoleAtPointError, SamplerExhaustedError
+from tetrainst.algebra import CohPoint, EvalPoint, PoleAtPointError
 from tetrainst.formulas import closed_Z_K, closed_Z_coh
 from tetrainst.localization import (
+    SamplerExhaustedError,
     Z_loc_K,
     Z_loc_coh,
     Z_loc_ell,

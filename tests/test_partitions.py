@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tetrainst import partitions
 from tetrainst.partitions import (
     Configuration,
     PlanePartition,
@@ -171,6 +172,27 @@ def test_sign_rho_tilde_vanishes_on_embeddings():
 def test_sign_rho_tilde_leg4_matches_rho():
     sp = SolidPartition([(0, 0, 0, 0), (0, 0, 0, 1)])
     assert sign_rho_tilde(sp, 4) == sign_rho(sp) == 1
+
+
+def _box_rule(sp, i):
+    """The parity of boxes whose coordinates other than the i-th tie below the i-th."""
+    return sum(len({*box[: i - 1], *box[i:]}) == 1 and box[i - 1] > min(box) for box in sp.boxes) % 2
+
+
+def test_sign_rules_on_every_solid_partition_up_to_size_7():
+    counts, odd = [], 0
+    for n in range(8):
+        sps = [SolidPartition(partitions._boxes(stack)) for stack in partitions._stacks(3, n)]
+        counts.append(len(set(sps)))
+        for sp in sps:
+            assert is_order_ideal(sp.boxes) and sp.size == n
+            assert sign_rho(sp) == sign_rho_tilde(sp, 4)
+            for i in range(1, 5):
+                assert sign_rho_tilde(sp, i) == _box_rule(sp, i)
+            odd += sign_rho(sp)
+    # OEIS A000293, the solid partitions of n
+    assert counts == [1, 1, 4, 10, 26, 59, 140, 307]
+    assert odd == 251
 
 
 def test_configuration_sign():

@@ -94,12 +94,22 @@ def test_shift():
 
 def test_q_scale():
     f = QSeries([1, 1, 0])
-    assert f.q_scale(1, 1) == f
-    assert f.q_scale(2, 1) == QSeries([1, 2, 0])
+    assert f.q_scale(1) == f
+    assert f.q_scale(2) == QSeries([1, 2, 0])
     # double substitution composes multiplicatively
     g = f.q_scale(2).q_scale(3)
     assert g == f.q_scale(6)
-    assert f.q_scale(1, -1) == QSeries([1, -1, 0])
+    assert f.q_scale(-1) == QSeries([1, -1, 0])
+
+
+def test_floats_raise():
+    # a float's binary value is not the rational it was written as
+    with pytest.raises(ValueError, match=r"float 0\.5"):
+        QSeries([0.5, 0.1])
+    with pytest.raises(ValueError, match=r"float 0\.1"):
+        QSeries([1, 2]).q_scale(0.1)
+    with pytest.raises(ValueError, match=r"float 0\.1"):
+        QSeries([1]) * 0.1
 
 
 def test_plethystic_exp_geometric():
