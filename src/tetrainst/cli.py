@@ -4,6 +4,10 @@ The checks hand this module exact values, and it alone writes them as text:
 every report is deterministic UTF-8 JSON with a top-level "schema" key, in
 which every rational number is a "num/den" string, never a float.
 
+The checks of one ``verify`` call draw their own points and return their own
+reports, so they run on up to one process per usable core (``_run_checks``);
+the report is the same bytes on any number of cores.
+
 Exit codes: 0 success, 1 a verification check failed, 2 invalid configuration,
 3 the point sampler was exhausted, 4 an internal invariant was violated or
 another unexpected error occurred.
@@ -12,6 +16,7 @@ another unexpected error occurred.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import traceback
 from contextlib import contextmanager
@@ -79,12 +84,130 @@ def _exit_codes():
         sys.exit(EXIT_INTERNAL)
 
 
+def _usable_cores():
+    """The number of cores this process may run on; 1 on a platform that
+    cannot tell, so that no check lane is forked there."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _lane(checks, share):
+    """Run the checks whose indices are ``share``, in order, up to the first
+    that raises; return their reports, as the dicts a report writes, and
+    that exception, or None."""
+    reports = []
+    try:
+        for i in share:
+            reports.append(asdict(checks[i]()))
+    except BaseException as exc:
+        return reports, exc
+    return reports, None
+
+
+def _lane_text(checks, share):
+    """The result of a forked lane as JSON: its reports with every value
+    written by :func:`_plain`, and the error of the check that raised, if
+    any, as ``[is a SamplerExhaustedError, message, traceback]``.  Every key
+    of a report is a string, so the round trip through JSON changes no byte
+    of the report."""
+    reports, exc = _lane(checks, share)
+    error = None
+    if exc is not None:
+        error = [isinstance(exc, SamplerExhaustedError), str(exc), "".join(traceback.format_exception(exc))]
+    return json.dumps([reports, error], default=_plain)
+
+
+def _lane_error(error):
+    """The exception that a forked lane's ``error`` stands for, or None: a
+    ``SamplerExhaustedError`` with its message, so that it still exits 3,
+    or else a ``RuntimeError`` holding the lane's traceback."""
+    if error is None:
+        return None
+    sampler, message, text = error
+    if sampler:
+        return SamplerExhaustedError(message)
+    return RuntimeError(f"raised in a forked check lane\n{text.rstrip()}")
+
+
+def _run_checks(checks):
+    """The reports of the callables ``checks``, in order and as the dicts a
+    report writes, computed on L = min(len(checks), usable cores) lanes.
+
+    Lane 0 is this process; each other lane is a forked child that writes
+    its result into a pipe as JSON, which this module has imported anyway,
+    and ends with ``os._exit``.  The CLI starts no thread, so it may fork.
+    Lanes take the checks in turn, forwards and then backwards (with 2
+    lanes: 0, 1, 1, 0, 0), so a lane's share is fixed and only lane 0's work
+    reaches a tracer installed in this process.  Each lane stops at its
+    first error, and the error of the earliest check is raised here, as one
+    process running the checks in order would raise it.  Every child is
+    read to EOF and then reaped, even when this process fails, and one that
+    ends without a result fails the call.  With one lane the checks simply
+    run in order and nothing is forked.
+    """
+    lanes = min(len(checks), _usable_cores())
+    if lanes < 2:
+        return [asdict(check()) for check in checks]
+    shares = [[] for _ in range(lanes)]
+    for i in range(len(checks)):
+        k = i % lanes
+        shares[k if i // lanes % 2 == 0 else lanes - 1 - k].append(i)
+    children, received = [], []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a lane child: it never returns
+                status = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(w, "w", encoding="utf-8") as fh:
+                        fh.write(_lane_text(checks, share))
+                    status = 0
+                except BaseException:
+                    # the parent can only say that no result came
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, r))
+        reports, exc = _lane(checks, shares[0])
+    finally:
+        # a result can exceed the pipe's buffer, so read it all before reaping
+        for pid, r in children:
+            with os.fdopen(r, encoding="utf-8") as fh:
+                text = fh.read()
+            received.append((text, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+
+    results = [(reports, exc)]
+    for text, code in received:
+        try:
+            reports, error = json.loads(text)
+            exc = _lane_error(error)
+        except ValueError:
+            reports, exc = [], RuntimeError(f"a check lane ended with no result (exit code {code})")
+        results.append((reports, exc))
+    done, errors = {}, {}
+    for share, (reports, exc) in zip(shares, results):
+        done.update(zip(share, reports))
+        if exc is not None:
+            errors[share[len(reports)]] = exc
+    if errors:
+        # a lane leaves out only the checks after its own error
+        raise errors[min(errors)]
+    return [done[i] for i in range(len(checks))]
+
+
 def _emit(command, meta, out, **body):
     """Write the report of ``command``, with the fields of ``body`` next to
     its ``meta``, to the file ``out`` or else to stdout.
 
     The one place a report becomes text: ``meta`` and ``body`` hold exact
-    values, and :func:`_plain` writes each one ``json`` cannot."""
+    values, and :func:`_plain` writes each one ``json`` cannot (a forked
+    lane's reports arrive already written by it, see ``_lane_text``)."""
     doc = {"schema": SCHEMA, "version": __version__, "meta": {"command": command, **meta}, **body}
     text = json.dumps(doc, indent=2, sort_keys=True, default=_plain) + "\n"
     if out:
@@ -141,22 +264,27 @@ def compute(rvec, order, mode, p_order, seed, out):
 @click.option("--r", "rank", default=None, type=click.IntRange(0), help="total rank for the euler suite")
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
-    """Run verification suites; exit 0 iff every check passes."""
+    """Run verification suites; exit 0 iff every check passes.
+
+    The checks run on up to one process per usable core, and the report is
+    the same bytes either way; only the checks of this process, lane 0, are
+    visible to a tracer (see ``_run_checks``)."""
     rv = _parse_rvec(rvec)
     with _exit_codes():
-        reports = []
+        checks = []
         if suite in ("main", "all"):
-            reports.append(verify_main(rv, order, seed, points, mode))
+            checks.append(lambda: verify_main(rv, order, seed, points, mode))
         if suite in ("signs", "all"):
-            reports.append(run_sign_sweep(rv, min(order, 3), seed, points))
+            checks.append(lambda: run_sign_sweep(rv, min(order, 3), seed, points))
         if suite in ("framing", "all"):
-            reports.append(check_framing_independence(rv, order, seed, framings))
+            checks.append(lambda: check_framing_independence(rv, order, seed, framings))
         if suite in ("euler", "all"):
             r = rank if rank is not None else sum(rv)
-            reports.append(check_euler_characteristics(r, order))
+            checks.append(lambda: check_euler_characteristics(r, order))
         if suite in ("kappa", "all"):
-            reports.append(run_kappa_check(max(order, 6), seed, points))
-        passed = all(r.passed for r in reports)
+            checks.append(lambda: run_kappa_check(max(order, 6), seed, points))
+        reports = _run_checks(checks)
+        passed = all(r["passed"] for r in reports)
         meta = {
             "suite": suite,
             "rvec": list(rv),
@@ -166,7 +294,7 @@ def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
             "points": points,
             "framings": framings,
         }
-        _emit("verify", meta, out, passed=passed, checks=[asdict(r) for r in reports])
+        _emit("verify", meta, out, passed=passed, checks=reports)
     if not passed:
         sys.exit(EXIT_CHECK_FAILED)
 

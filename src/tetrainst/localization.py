@@ -268,7 +268,13 @@ def _sign_identities(config):
 
 
 def check_rho_tilde_vanishes(max_size):
-    """The auxiliary sign count vanishes on every embedded plane partition."""
+    """The auxiliary sign count vanishes on every embedded plane partition.
+
+    The check cannot fail, so the ``rho-tilde-vanishing`` entry of a signs
+    report records a fact of the encoding, not a test of the sign rule:
+    ``embed_to_solid(pp, i)`` puts 0 in coordinate ``i``, and
+    ``sign_rho_tilde(·, i)`` counts boxes whose other three coordinates are
+    equal and strictly less than it, so ``a == b == c < 0`` never holds."""
     for n in range(max_size + 1):
         for pp in enumerate_plane_partitions(n):
             for i in range(1, 5):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -216,3 +217,146 @@ def test_unwritable_out_wins_over_a_failed_check(monkeypatch, tmp_path):
     result = run_cli(["verify", "--suite", "euler", "--r", "1", "--order", "1", "--out", str(out)])
     assert result.exit_code == cli.EXIT_INTERNAL
     assert "FileNotFoundError" in result.output
+
+
+# `verify --suite all` runs its five checks on min(5, usable cores) lanes:
+# with two, lane 1 is a forked child running the signs and framing checks.
+PINNED_ALL = [argv for argv, _ in PINNED_REPORTS if argv.startswith("verify --suite all")]
+
+
+def _lanes(monkeypatch, n):
+    monkeypatch.setattr(cli, "_usable_cores", lambda: n)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [*PINNED_ALL, "verify"])
+def test_lanes_write_the_same_bytes(monkeypatch, argv):
+    outputs = set()
+    for n in (1, 2):
+        _lanes(monkeypatch, n)
+        result = run_cli(argv.split())
+        assert result.exit_code == 0
+        outputs.add(result.stdout_bytes)
+        _no_child_left()
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("n, shares", [
+    (1, [{0, 1, 2, 3, 4}]),
+    (2, [{0, 3, 4}, {1, 2}]),
+    (3, [{0}, {1, 4}, {2, 3}]),
+])
+def test_lanes_take_checks_forwards_then_backwards(monkeypatch, n, shares):
+    _lanes(monkeypatch, n)
+    reports = cli._run_checks([lambda: CheckReport(str(os.getpid()))] * 5)
+    lanes = {}
+    for i, report in enumerate(reports):
+        lanes.setdefault(int(report["name"]), set()).add(i)
+    assert lanes[os.getpid()] == shares[0]
+    assert sorted(lanes.values(), key=min) == shares
+    _no_child_left()
+
+
+def test_error_in_a_forked_lane_exits_internal(monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    _lanes(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run_sign_sweep", crash)
+    result = run_cli(["verify", "--suite", "all"])
+    assert result.exit_code == cli.EXIT_INTERNAL
+    assert result.stdout == ""
+    assert "RuntimeError: boom" in result.stderr
+    assert "in crash" in result.stderr  # the lane's own traceback
+    _no_child_left()
+
+
+def test_unwritable_value_in_a_forked_lane_exits_internal(monkeypatch):
+    def odd(rvec, order, seed, num_framings):
+        report = CheckReport("framing-independence", tuple(rvec), order, seed)
+        report.record(True, value=object())
+        return report
+
+    _lanes(monkeypatch, 2)
+    monkeypatch.setattr(cli, "check_framing_independence", odd)
+    result = run_cli(["verify", "--suite", "all"])
+    assert result.exit_code == cli.EXIT_INTERNAL
+    assert "RuntimeError: a check lane ended with no result (exit code 1)" in result.stderr
+    _no_child_left()
+
+
+def test_lane_with_no_result_exits_internal(monkeypatch):
+    def die(*args, **kwargs):
+        os._exit(9)
+
+    _lanes(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run_sign_sweep", die)
+    result = run_cli(["verify", "--suite", "all"])
+    assert result.exit_code == cli.EXIT_INTERNAL
+    assert "RuntimeError: a check lane ended with no result (exit code 9)" in result.stderr
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sampler_exhausted_on_lanes_exits_sampler(monkeypatch, n):
+    _lanes(monkeypatch, n)
+    monkeypatch.setattr(localization, "SAMPLER_MAX_TRIES", 0)
+    result = run_cli(["verify", "--suite", "all"])
+    assert result.exit_code == cli.EXIT_SAMPLER
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: no pole-free point in 0 tries")
+    _no_child_left()
+
+
+def test_sampler_exhausted_in_a_forked_lane_exits_sampler(monkeypatch):
+    # lane 0's first check passes, so the signs check of lane 1 is the first
+    # to exhaust the sampler
+    def passing(rvec, order, seed, num_points, mode):
+        return CheckReport(f"main-{mode}", tuple(rvec), order, seed)
+
+    _lanes(monkeypatch, 2)
+    monkeypatch.setattr(cli, "verify_main", passing)
+    monkeypatch.setattr(localization, "SAMPLER_MAX_TRIES", 0)
+    result = run_cli(["verify", "--suite", "all"])
+    assert result.exit_code == cli.EXIT_SAMPLER
+    assert result.stdout == ""
+    assert result.stderr == "error: no pole-free point in 0 tries (seed 0)\n"
+    _no_child_left()
+
+
+def test_earliest_error_wins_across_lanes(monkeypatch):
+    # lane 0 fails at euler (check 3), lane 1 at framing (check 2): one
+    # process running the checks in order would stop at framing
+    def crash(name):
+        def run(*args, **kwargs):
+            raise RuntimeError(name)
+        return run
+
+    _lanes(monkeypatch, 2)
+    monkeypatch.setattr(cli, "check_euler_characteristics", crash("euler"))
+    monkeypatch.setattr(cli, "check_framing_independence", crash("framing"))
+    result = run_cli(["verify", "--suite", "all"])
+    assert result.exit_code == cli.EXIT_INTERNAL
+    assert "RuntimeError: framing" in result.stderr
+    assert "RuntimeError: euler" not in result.stderr
+    _no_child_left()
+
+
+def test_failed_check_in_a_forked_lane_exits_check_failed(monkeypatch):
+    def failing(rvec, order, seed, num_framings):
+        report = CheckReport("framing-independence", tuple(rvec), order, seed)
+        report.record(False)
+        return report
+
+    _lanes(monkeypatch, 2)
+    monkeypatch.setattr(cli, "check_framing_independence", failing)
+    result = run_cli(["verify", "--suite", "all"])
+    assert result.exit_code == cli.EXIT_CHECK_FAILED
+    doc = json.loads(result.stdout)
+    assert doc["passed"] is False
+    assert [c["passed"] for c in doc["checks"]] == [True, True, False, True, True]
+    _no_child_left()
