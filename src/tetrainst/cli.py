@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -95,40 +95,90 @@ def _usable_cores():
 
 def _lane(checks, share):
     """Run the checks whose indices are ``share``, in order, up to the first
-    that raises; return their reports, as the dicts a report writes, and
-    that exception, or None."""
+    that raises an ``Exception``; return their reports, as the dicts a
+    report writes, and that exception, or None.  An interrupt is not
+    caught: it ends the lane at once."""
     reports = []
     try:
         for i in share:
             reports.append(asdict(checks[i]()))
-    except BaseException as exc:
+    except Exception as exc:
         return reports, exc
     return reports, None
 
 
 def _lane_text(checks, share):
-    """The result of a forked lane as JSON: its reports with every value
-    written by :func:`_plain`, and the error of the check that raised, if
-    any, as ``[is a SamplerExhaustedError, message, traceback]``.  Every key
-    of a report is a string, so the round trip through JSON changes no byte
-    of the report."""
-    reports, exc = _lane(checks, share)
+    """The result of a forked lane as JSON, ``[reports, error, unwritable]``.
+
+    ``reports`` are the lane's reports with every value written by
+    :func:`_plain`; every key of a report is a string, so the round trip
+    through JSON changes no byte of the report.  ``error`` is None or
+    ``[kind, message, traceback]`` of what stopped the lane: kind
+    "interrupt" for a ``KeyboardInterrupt``, "sampler" for a
+    ``SamplerExhaustedError`` and "error" for any other exception.  If a
+    report holds a value that ``_plain`` cannot write, ``reports`` holds one
+    None per report and ``unwritable`` the traceback."""
+    try:
+        reports, exc = _lane(checks, share)
+    except KeyboardInterrupt:
+        return json.dumps([[], ["interrupt", "", ""], None])
     error = None
     if exc is not None:
-        error = [isinstance(exc, SamplerExhaustedError), str(exc), "".join(traceback.format_exception(exc))]
-    return json.dumps([reports, error], default=_plain)
+        kind = "sampler" if isinstance(exc, SamplerExhaustedError) else "error"
+        error = [kind, str(exc), "".join(traceback.format_exception(exc))]
+    try:
+        return json.dumps([reports, error, None], default=_plain)
+    except TypeError:
+        return json.dumps([[None] * len(reports), error, traceback.format_exc()])
 
 
 def _lane_error(error):
     """The exception that a forked lane's ``error`` stands for, or None: a
     ``SamplerExhaustedError`` with its message, so that it still exits 3,
-    or else a ``RuntimeError`` holding the lane's traceback."""
+    or else a ``RuntimeError`` holding the lane's traceback.  An interrupted
+    lane raises ``KeyboardInterrupt`` here, as one process running every
+    check would have been interrupted."""
     if error is None:
         return None
-    sampler, message, text = error
-    if sampler:
+    kind, message, text = error
+    if kind == "interrupt":
+        raise KeyboardInterrupt
+    if kind == "sampler":
         return SamplerExhaustedError(message)
     return RuntimeError(f"raised in a forked check lane\n{text.rstrip()}")
+
+
+def _kill(pid):
+    """Kill the forked lane ``pid``, whose result is no longer wanted."""
+    import signal  # it takes a millisecond to import, so only on this path
+
+    os.kill(pid, signal.SIGKILL)
+
+
+def _collect(children, stop):
+    """The output and exit code of each forked lane ``(pid, read end)`` in
+    ``children``.  A lane's pipe is read to EOF before the lane is reaped,
+    because a result can exceed the pipe's buffer.  With ``stop`` set each
+    lane is killed first.  If this process is interrupted while it waits,
+    the lanes not yet reaped are killed and reaped, so none outlives it."""
+    received = []
+    try:
+        for pid, r in children:
+            if stop:
+                _kill(pid)
+            with os.fdopen(r, encoding="utf-8") as fh:
+                text = fh.read()
+            received.append((text, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    except BaseException:
+        for pid, r in children[len(received):]:
+            # the read end may be closed already, and the lane reaped
+            with suppress(OSError):
+                os.close(r)
+            with suppress(OSError):
+                _kill(pid)
+                os.waitpid(pid, 0)
+        raise
+    return received
 
 
 def _run_checks(checks):
@@ -137,24 +187,27 @@ def _run_checks(checks):
 
     Lane 0 is this process; each other lane is a forked child that writes
     its result into a pipe as JSON, which this module has imported anyway,
-    and ends with ``os._exit``.  The CLI starts no thread, so it may fork.
-    Lanes take the checks in turn, forwards and then backwards (with 2
-    lanes: 0, 1, 1, 0, 0), so a lane's share is fixed and only lane 0's work
-    reaches a tracer installed in this process.  Each lane stops at its
-    first error, and the error of the earliest check is raised here, as one
-    process running the checks in order would raise it.  Every child is
-    read to EOF and then reaped, even when this process fails, and one that
-    ends without a result fails the call.  With one lane the checks simply
-    run in order and nothing is forked.
-    """
+    and ends with ``os._exit``.  With one lane nothing is forked.  The CLI
+    starts no thread, so it may fork.  Lanes take the checks in turn,
+    forwards and then backwards (with 2 lanes: 0, 1, 1, 0, 0), so a lane's
+    share is fixed and only lane 0's work reaches a tracer installed in this
+    process.
+
+    The call fails as one process running the checks in order would fail.
+    Each lane stops at its first error, and the error of the earliest check
+    is raised here; a lane that ends with no result counts as failing at its
+    first check.  A value that a forked lane cannot write is raised only if
+    no check raised, since one process meets it only when it writes the
+    report.  An interrupt in any lane interrupts the call.  Every child is
+    read to EOF and reaped, and killed first when this process raises or is
+    interrupted.  A child whose parent is killed runs to the end of its
+    share."""
     lanes = min(len(checks), _usable_cores())
-    if lanes < 2:
-        return [asdict(check()) for check in checks]
     shares = [[] for _ in range(lanes)]
     for i in range(len(checks)):
         k = i % lanes
         shares[k if i // lanes % 2 == 0 else lanes - 1 - k].append(i)
-    children, received = [], []
+    children, finished = [], False
     try:
         for share in shares[1:]:
             r, w = os.pipe()
@@ -174,22 +227,20 @@ def _run_checks(checks):
                     os._exit(status)
             os.close(w)
             children.append((pid, r))
-        reports, exc = _lane(checks, shares[0])
+        results = [_lane(checks, shares[0])]
+        finished = True
     finally:
-        # a result can exceed the pipe's buffer, so read it all before reaping
-        for pid, r in children:
-            with os.fdopen(r, encoding="utf-8") as fh:
-                text = fh.read()
-            received.append((text, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+        received = _collect(children, stop=not finished)
 
-    results = [(reports, exc)]
+    unwritable = None
     for text, code in received:
         try:
-            reports, error = json.loads(text)
-            exc = _lane_error(error)
+            reports, error, unwritten = json.loads(text)
         except ValueError:
-            reports, exc = [], RuntimeError(f"a check lane ended with no result (exit code {code})")
-        results.append((reports, exc))
+            results.append(([], RuntimeError(f"a check lane ended with no result (exit code {code})")))
+            continue
+        results.append((reports, _lane_error(error)))
+        unwritable = unwritable or unwritten
     done, errors = {}, {}
     for share, (reports, exc) in zip(shares, results):
         done.update(zip(share, reports))
@@ -198,6 +249,8 @@ def _run_checks(checks):
     if errors:
         # a lane leaves out only the checks after its own error
         raise errors[min(errors)]
+    if unwritable:
+        raise RuntimeError(f"a forked check lane could not write its reports\n{unwritable.rstrip()}")
     return [done[i] for i in range(len(checks))]
 
 

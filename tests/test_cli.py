@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -275,17 +277,39 @@ def test_error_in_a_forked_lane_exits_internal(monkeypatch):
     _no_child_left()
 
 
-def test_unwritable_value_in_a_forked_lane_exits_internal(monkeypatch):
+def _unwritable_framing(monkeypatch):
     def odd(rvec, order, seed, num_framings):
         report = CheckReport("framing-independence", tuple(rvec), order, seed)
         report.record(True, value=object())
         return report
 
-    _lanes(monkeypatch, 2)
     monkeypatch.setattr(cli, "check_framing_independence", odd)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_unwritable_value_in_a_lane_exits_internal(monkeypatch, n):
+    _lanes(monkeypatch, n)
+    _unwritable_framing(monkeypatch)
     result = run_cli(["verify", "--suite", "all"])
     assert result.exit_code == cli.EXIT_INTERNAL
-    assert "RuntimeError: a check lane ended with no result (exit code 1)" in result.stderr
+    assert result.stdout == ""
+    assert "TypeError: cannot write a object in a report" in result.stderr
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_later_sampler_error_wins_over_an_unwritable_value(monkeypatch, n):
+    # one process meets the unwritable framing value (check 2) only when it
+    # writes the report, after kappa (check 4) has exhausted the sampler
+    def exhausted(*args, **kwargs):
+        raise localization.SamplerExhaustedError("no pole-free point")
+
+    _lanes(monkeypatch, n)
+    _unwritable_framing(monkeypatch)
+    monkeypatch.setattr(cli, "run_kappa_check", exhausted)
+    result = run_cli(["verify", "--suite", "all"])
+    assert result.exit_code == cli.EXIT_SAMPLER
+    assert result.stderr == "error: no pole-free point\n"
     _no_child_left()
 
 
@@ -359,4 +383,60 @@ def test_failed_check_in_a_forked_lane_exits_check_failed(monkeypatch):
     doc = json.loads(result.stdout)
     assert doc["passed"] is False
     assert [c["passed"] for c in doc["checks"]] == [True, True, False, True, True]
+    _no_child_left()
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def _sleep(*args, **kwargs):
+    time.sleep(60)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_interrupt_in_lane_0_aborts_at_once(monkeypatch, n):
+    # with two lanes the forked lane would sleep for a minute if not killed
+    _lanes(monkeypatch, n)
+    monkeypatch.setattr(cli, "verify_main", _interrupt)
+    monkeypatch.setattr(cli, "run_sign_sweep", _sleep)
+    start = time.monotonic()
+    result = run_cli(["verify", "--suite", "all"])
+    assert time.monotonic() - start < 30
+    assert result.exit_code == 1
+    assert result.output.strip() == "Aborted!"
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_interrupt_in_a_forked_lane_aborts(monkeypatch, n):
+    _lanes(monkeypatch, n)
+    monkeypatch.setattr(cli, "run_sign_sweep", _interrupt)
+    result = run_cli(["verify", "--suite", "all"])
+    assert result.exit_code == 1
+    assert result.output.strip() == "Aborted!"
+    _no_child_left()
+
+
+def test_interrupt_while_waiting_for_a_lane_kills_it(monkeypatch):
+    # lane 0 ends by arming a timer that interrupts this process while it
+    # waits for lane 1, which sleeps
+    def interrupt_soon(*args, **kwargs):
+        signal.signal(signal.SIGALRM, _interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        return CheckReport("kappa")
+
+    _lanes(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run_sign_sweep", _sleep)
+    monkeypatch.setattr(cli, "run_kappa_check", interrupt_soon)
+    old = signal.getsignal(signal.SIGALRM)
+    start = time.monotonic()
+    try:
+        result = run_cli(["verify", "--suite", "all"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert time.monotonic() - start < 30
+    assert result.exit_code == 1
+    assert result.output.strip() == "Aborted!"
     _no_child_left()
