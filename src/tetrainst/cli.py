@@ -5,12 +5,14 @@ every report is deterministic UTF-8 JSON with a top-level "schema" key, in
 which every rational number is a "num/den" string, never a float.
 
 The checks of one ``verify`` call draw their own points and return their own
-reports, so they run on up to one process per usable core (``_run_checks``);
-the report is the same bytes on any number of cores.
+reports, so they run on up to one process per usable core (``_run_checks``).
+A forked lane sends back only the reports it finished, and this process runs
+every check that no lane reported, so the report, the exit code and stderr
+are the same bytes on any number of cores.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid configuration,
 3 the point sampler was exhausted, 4 an internal invariant was violated or
-another unexpected error occurred.
+another unexpected error occurred, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ SCHEMA = "tetrainst-report/1"
 EXIT_CHECK_FAILED = 1
 EXIT_SAMPLER = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130
 
 
 def _parse_rvec(text):
@@ -72,10 +75,13 @@ def _plain(value):
 
 @contextmanager
 def _exit_codes():
-    """Exit 3 on sampler exhaustion and 4 on any other error, so that a crash
-    never shares the failed-check code 1."""
+    """Exit 3 on sampler exhaustion, 130 on an interrupt and 4 on any other
+    error, so that a crash never shares the failed-check code 1."""
     try:
         yield
+    except KeyboardInterrupt:
+        click.echo("Aborted!", err=True)
+        sys.exit(EXIT_INTERRUPTED)
     except SamplerExhaustedError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_SAMPLER)
@@ -94,58 +100,14 @@ def _usable_cores():
 
 
 def _lane(checks, share):
-    """Run the checks whose indices are ``share``, in order, up to the first
-    that raises an ``Exception``; return their reports, as the dicts a
-    report writes, and that exception, or None.  An interrupt is not
-    caught: it ends the lane at once."""
+    """The reports of the checks whose indices are ``share``, in order and as
+    the dicts a report writes, up to the first that raises an ``Exception``.
+    An interrupt is not caught: it ends the lane at once."""
     reports = []
-    try:
+    with suppress(Exception):
         for i in share:
             reports.append(asdict(checks[i]()))
-    except Exception as exc:
-        return reports, exc
-    return reports, None
-
-
-def _lane_text(checks, share):
-    """The result of a forked lane as JSON, ``[reports, error, unwritable]``.
-
-    ``reports`` are the lane's reports with every value written by
-    :func:`_plain`; every key of a report is a string, so the round trip
-    through JSON changes no byte of the report.  ``error`` is None or
-    ``[kind, message, traceback]`` of what stopped the lane: kind
-    "interrupt" for a ``KeyboardInterrupt``, "sampler" for a
-    ``SamplerExhaustedError`` and "error" for any other exception.  If a
-    report holds a value that ``_plain`` cannot write, ``reports`` holds one
-    None per report and ``unwritable`` the traceback."""
-    try:
-        reports, exc = _lane(checks, share)
-    except KeyboardInterrupt:
-        return json.dumps([[], ["interrupt", "", ""], None])
-    error = None
-    if exc is not None:
-        kind = "sampler" if isinstance(exc, SamplerExhaustedError) else "error"
-        error = [kind, str(exc), "".join(traceback.format_exception(exc))]
-    try:
-        return json.dumps([reports, error, None], default=_plain)
-    except TypeError:
-        return json.dumps([[None] * len(reports), error, traceback.format_exc()])
-
-
-def _lane_error(error):
-    """The exception that a forked lane's ``error`` stands for, or None: a
-    ``SamplerExhaustedError`` with its message, so that it still exits 3,
-    or else a ``RuntimeError`` holding the lane's traceback.  An interrupted
-    lane raises ``KeyboardInterrupt`` here, as one process running every
-    check would have been interrupted."""
-    if error is None:
-        return None
-    kind, message, text = error
-    if kind == "interrupt":
-        raise KeyboardInterrupt
-    if kind == "sampler":
-        return SamplerExhaustedError(message)
-    return RuntimeError(f"raised in a forked check lane\n{text.rstrip()}")
+    return reports
 
 
 def _kill(pid):
@@ -156,19 +118,19 @@ def _kill(pid):
 
 
 def _collect(children, stop):
-    """The output and exit code of each forked lane ``(pid, read end)`` in
-    ``children``.  A lane's pipe is read to EOF before the lane is reaped,
-    because a result can exceed the pipe's buffer.  With ``stop`` set each
-    lane is killed first.  If this process is interrupted while it waits,
-    the lanes not yet reaped are killed and reaped, so none outlives it."""
+    """The output of each forked lane ``(pid, read end)`` in ``children``.
+    A lane's pipe is read to EOF before the lane is reaped, because a result
+    can exceed the pipe's buffer.  With ``stop`` set each lane is killed
+    first.  If this process is interrupted while it waits, the lanes not yet
+    reaped are killed and reaped, so none outlives it."""
     received = []
     try:
         for pid, r in children:
             if stop:
                 _kill(pid)
             with os.fdopen(r, encoding="utf-8") as fh:
-                text = fh.read()
-            received.append((text, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+                received.append(fh.read())
+            os.waitpid(pid, 0)
     except BaseException:
         for pid, r in children[len(received):]:
             # the read end may be closed already, and the lane reaped
@@ -186,20 +148,22 @@ def _run_checks(checks):
     report writes, computed on L = min(len(checks), usable cores) lanes.
 
     Lane 0 is this process; each other lane is a forked child that writes
-    its result into a pipe as JSON, which this module has imported anyway,
-    and ends with ``os._exit``.  With one lane nothing is forked.  The CLI
-    starts no thread, so it may fork.  Lanes take the checks in turn,
-    forwards and then backwards (with 2 lanes: 0, 1, 1, 0, 0), so a lane's
-    share is fixed and only lane 0's work reaches a tracer installed in this
-    process.
+    the reports it finished into a pipe as JSON, which this module has
+    imported anyway, and ends with ``os._exit``; every key of a report is a
+    string, so the round trip changes no byte of it.  With one lane nothing is
+    forked.  The CLI starts no thread, so it may fork.  Lanes take the
+    checks in turn, forwards and then backwards (with 2 lanes: 0, 1, 1, 0,
+    0), so a lane's share is fixed and only lane 0's work reaches a tracer
+    installed in this process.
 
-    The call fails as one process running the checks in order would fail.
-    Each lane stops at its first error, and the error of the earliest check
-    is raised here; a lane that ends with no result counts as failing at its
-    first check.  A value that a forked lane cannot write is raised only if
-    no check raised, since one process meets it only when it writes the
-    report.  An interrupt in any lane interrupts the call.  Every child is
-    read to EOF and reaped, and killed first when this process raises or is
+    Each lane stops at its first error, and a child that cannot write its
+    reports, or ends before it does, reports none.  This process then runs,
+    in order, every check that no lane reported.  A check is deterministic
+    given its inputs, so the earliest failing check raises its own error
+    here, and the call fails as one process running the checks in order
+    fails, with the same exit code and stderr on any number of cores.  An
+    interrupt in this process interrupts the call; every child is read to
+    EOF and reaped, and killed first when this process raises or is
     interrupted.  A child whose parent is killed runs to the end of its
     share."""
     lanes = min(len(checks), _usable_cores())
@@ -212,46 +176,24 @@ def _run_checks(checks):
         for share in shares[1:]:
             r, w = os.pipe()
             pid = os.fork()
-            if pid == 0:  # a lane child: it never returns
-                status = 1
+            if pid == 0:  # a lane child: it never returns, and writes all or nothing
                 try:
                     os.close(r)
                     with os.fdopen(w, "w", encoding="utf-8") as fh:
-                        fh.write(_lane_text(checks, share))
-                    status = 0
-                except BaseException:
-                    # the parent can only say that no result came
-                    traceback.print_exc()
-                    sys.stderr.flush()
+                        fh.write(json.dumps(_lane(checks, share), default=_plain))
                 finally:
-                    os._exit(status)
+                    os._exit(0)
             os.close(w)
             children.append((pid, r))
-        results = [_lane(checks, shares[0])]
+        done = dict(zip(shares[0], _lane(checks, shares[0])))
         finished = True
     finally:
         received = _collect(children, stop=not finished)
 
-    unwritable = None
-    for text, code in received:
-        try:
-            reports, error, unwritten = json.loads(text)
-        except ValueError:
-            results.append(([], RuntimeError(f"a check lane ended with no result (exit code {code})")))
-            continue
-        results.append((reports, _lane_error(error)))
-        unwritable = unwritable or unwritten
-    done, errors = {}, {}
-    for share, (reports, exc) in zip(shares, results):
-        done.update(zip(share, reports))
-        if exc is not None:
-            errors[share[len(reports)]] = exc
-    if errors:
-        # a lane leaves out only the checks after its own error
-        raise errors[min(errors)]
-    if unwritable:
-        raise RuntimeError(f"a forked check lane could not write its reports\n{unwritable.rstrip()}")
-    return [done[i] for i in range(len(checks))]
+    for share, text in zip(shares[1:], received):
+        with suppress(ValueError):  # a missing or partial result
+            done.update(zip(share, json.loads(text)))
+    return [done[i] if i in done else asdict(checks[i]()) for i in range(len(checks))]
 
 
 def _emit(command, meta, out, **body):
@@ -260,7 +202,7 @@ def _emit(command, meta, out, **body):
 
     The one place a report becomes text: ``meta`` and ``body`` hold exact
     values, and :func:`_plain` writes each one ``json`` cannot (a forked
-    lane's reports arrive already written by it, see ``_lane_text``)."""
+    lane's reports arrive already written by it, see ``_run_checks``)."""
     doc = {"schema": SCHEMA, "version": __version__, "meta": {"command": command, **meta}, **body}
     text = json.dumps(doc, indent=2, sort_keys=True, default=_plain) + "\n"
     if out:
@@ -319,9 +261,9 @@ def compute(rvec, order, mode, p_order, seed, out):
 def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
     """Run verification suites; exit 0 iff every check passes.
 
-    The checks run on up to one process per usable core, and the report is
-    the same bytes either way; only the checks of this process, lane 0, are
-    visible to a tracer (see ``_run_checks``)."""
+    The checks run on up to one process per usable core, and the report,
+    the exit code and stderr are the same bytes either way; only the checks
+    of this process, lane 0, are visible to a tracer (see ``_run_checks``)."""
     rv = _parse_rvec(rvec)
     with _exit_codes():
         checks = []

@@ -2,7 +2,10 @@ import hashlib
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
+from contextlib import suppress
 from fractions import Fraction
 
 import pytest
@@ -313,15 +316,22 @@ def test_later_sampler_error_wins_over_an_unwritable_value(monkeypatch, n):
     _no_child_left()
 
 
-def test_lane_with_no_result_exits_internal(monkeypatch):
-    def die(*args, **kwargs):
-        os._exit(9)
+def test_lane_with_no_result_is_run_here(monkeypatch):
+    # the forked lane dies in the signs check; this process runs its share
+    pid, sweep = os.getpid(), cli.run_sign_sweep
 
+    def die_in_a_lane(*args, **kwargs):
+        if os.getpid() != pid:
+            os._exit(9)
+        return sweep(*args, **kwargs)
+
+    _lanes(monkeypatch, 1)
+    want = run_cli(["verify", "--suite", "all"]).stdout_bytes
     _lanes(monkeypatch, 2)
-    monkeypatch.setattr(cli, "run_sign_sweep", die)
+    monkeypatch.setattr(cli, "run_sign_sweep", die_in_a_lane)
     result = run_cli(["verify", "--suite", "all"])
-    assert result.exit_code == cli.EXIT_INTERNAL
-    assert "RuntimeError: a check lane ended with no result (exit code 9)" in result.stderr
+    assert result.exit_code == 0
+    assert result.stdout_bytes == want
     _no_child_left()
 
 
@@ -403,7 +413,7 @@ def test_interrupt_in_lane_0_aborts_at_once(monkeypatch, n):
     start = time.monotonic()
     result = run_cli(["verify", "--suite", "all"])
     assert time.monotonic() - start < 30
-    assert result.exit_code == 1
+    assert result.exit_code == cli.EXIT_INTERRUPTED
     assert result.output.strip() == "Aborted!"
     _no_child_left()
 
@@ -413,7 +423,7 @@ def test_interrupt_in_a_forked_lane_aborts(monkeypatch, n):
     _lanes(monkeypatch, n)
     monkeypatch.setattr(cli, "run_sign_sweep", _interrupt)
     result = run_cli(["verify", "--suite", "all"])
-    assert result.exit_code == 1
+    assert result.exit_code == cli.EXIT_INTERRUPTED
     assert result.output.strip() == "Aborted!"
     _no_child_left()
 
@@ -437,6 +447,61 @@ def test_interrupt_while_waiting_for_a_lane_kills_it(monkeypatch):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
     assert time.monotonic() - start < 30
-    assert result.exit_code == 1
+    assert result.exit_code == cli.EXIT_INTERRUPTED
     assert result.output.strip() == "Aborted!"
     _no_child_left()
+
+
+def _raise(error, message):
+    # a new exception on each call, as a check raises it
+    def run(*args, **kwargs):
+        raise error(message)
+    return run
+
+
+@pytest.mark.parametrize("case", [
+    {"run_sign_sweep": _raise(RuntimeError, "boom")},
+    {"run_sign_sweep": _raise(localization.SamplerExhaustedError, "no pole-free point")},
+    {"framing": "unwritable"},
+    {"check_euler_characteristics": _raise(RuntimeError, "euler"),
+     "check_framing_independence": _raise(RuntimeError, "framing")},
+    {"run_kappa_check": _raise(localization.SamplerExhaustedError, "no pole-free point"),
+     "framing": "unwritable"},
+], ids=["error-in-signs", "sampler-in-signs", "unwritable-framing", "euler-and-framing",
+        "sampler-in-kappa-and-unwritable-framing"])
+def test_lanes_fail_with_the_same_stderr(monkeypatch, case):
+    for name, run in case.items():
+        if name == "framing":
+            _unwritable_framing(monkeypatch)
+        else:
+            monkeypatch.setattr(cli, name, run)
+    results = []
+    for n in (1, 2):
+        _lanes(monkeypatch, n)
+        result = run_cli(["verify", "--suite", "all"])
+        results.append((result.exit_code, result.stdout_bytes, result.stderr_bytes))
+        _no_child_left()
+    assert results[0][0] != 0
+    assert results[0] == results[1]
+
+
+def test_sigint_aborts_every_lane():
+    # SIGINT to the whole process group, as Ctrl-C in a terminal sends it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["verify", "--suite", "all", "--rvec", "1,1,1,0", "--order", "6", "--points", "2"]
+    proc = subprocess.Popen([sys.executable, "-m", "tetrainst.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        time.sleep(0.8)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == cli.EXIT_INTERRUPTED
+        assert out == b""
+        assert err == b"Aborted!\n"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
