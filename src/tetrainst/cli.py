@@ -8,7 +8,8 @@ The checks of one ``verify`` call draw their own points and return their own
 reports, so they run on up to one process per usable core (``_run_checks``).
 A forked lane sends back only the reports it finished, and this process runs
 every check that no lane reported, so the report, the exit code and stderr
-are the same bytes on any number of cores.
+are the same bytes on any number of cores.  An error, an interrupt or a
+SIGTERM in this process kills and reaps every lane before the call ends.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid configuration,
 3 the point sampler was exhausted, 4 an internal invariant was violated or
@@ -22,7 +23,6 @@ import os
 import sys
 import traceback
 from contextlib import contextmanager, suppress
-from dataclasses import asdict
 from fractions import Fraction
 
 import click
@@ -106,41 +106,16 @@ def _lane(checks, share):
     reports = []
     with suppress(Exception):
         for i in share:
-            reports.append(asdict(checks[i]()))
+            reports.append(vars(checks[i]()))
     return reports
 
 
-def _kill(pid):
-    """Kill the forked lane ``pid``, whose result is no longer wanted."""
-    import signal  # it takes a millisecond to import, so only on this path
-
-    os.kill(pid, signal.SIGKILL)
+class _Terminated(BaseException):
+    """SIGTERM while check lanes are forked (see ``_run_checks``)."""
 
 
-def _collect(children, stop):
-    """The output of each forked lane ``(pid, read end)`` in ``children``.
-    A lane's pipe is read to EOF before the lane is reaped, because a result
-    can exceed the pipe's buffer.  With ``stop`` set each lane is killed
-    first.  If this process is interrupted while it waits, the lanes not yet
-    reaped are killed and reaped, so none outlives it."""
-    received = []
-    try:
-        for pid, r in children:
-            if stop:
-                _kill(pid)
-            with os.fdopen(r, encoding="utf-8") as fh:
-                received.append(fh.read())
-            os.waitpid(pid, 0)
-    except BaseException:
-        for pid, r in children[len(received):]:
-            # the read end may be closed already, and the lane reaped
-            with suppress(OSError):
-                os.close(r)
-            with suppress(OSError):
-                _kill(pid)
-                os.waitpid(pid, 0)
-        raise
-    return received
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 def _run_checks(checks):
@@ -161,20 +136,29 @@ def _run_checks(checks):
     in order, every check that no lane reported.  A check is deterministic
     given its inputs, so the earliest failing check raises its own error
     here, and the call fails as one process running the checks in order
-    fails, with the same exit code and stderr on any number of cores.  An
-    interrupt in this process interrupts the call; every child is read to
-    EOF and reaped, and killed first when this process raises or is
-    interrupted.  A child whose parent is killed runs to the end of its
-    share."""
+    fails, with the same exit code and stderr on any number of cores.
+
+    A pipe is read to EOF before its lane is reaped, as a result can exceed
+    the pipe's buffer.  On any error or interrupt, the one ``except`` closes,
+    kills and reaps every lane not yet reaped.  A SIGTERM that would end
+    this process takes that path too, and then ends it by SIGTERM, as with
+    one lane; a lane whose parent is killed by SIGKILL runs on to the end of
+    its share."""
     lanes = min(len(checks), _usable_cores())
     shares = [[] for _ in range(lanes)]
     for i in range(len(checks)):
         k = i % lanes
         shares[k if i // lanes % 2 == 0 else lanes - 1 - k].append(i)
-    children, finished = [], False
+    if lanes > 1:
+        import signal  # it takes a millisecond to import, so only when forking
+
+        on_term = signal.getsignal(signal.SIGTERM)
+        if on_term is signal.SIG_DFL:
+            signal.signal(signal.SIGTERM, _terminate)
+    children, reaped, pipe = [], 0, ()
     try:
         for share in shares[1:]:
-            r, w = os.pipe()
+            r, w = pipe = os.pipe()
             pid = os.fork()
             if pid == 0:  # a lane child: it never returns, and writes all or nothing
                 try:
@@ -183,17 +167,31 @@ def _run_checks(checks):
                         fh.write(json.dumps(_lane(checks, share), default=_plain))
                 finally:
                     os._exit(0)
-            os.close(w)
             children.append((pid, r))
+            os.close(w)
+            pipe = ()
         done = dict(zip(shares[0], _lane(checks, shares[0])))
-        finished = True
-    finally:
-        received = _collect(children, stop=not finished)
-
-    for share, text in zip(shares[1:], received):
-        with suppress(ValueError):  # a missing or partial result
-            done.update(zip(share, json.loads(text)))
-    return [done[i] if i in done else asdict(checks[i]()) for i in range(len(checks))]
+        for share, (pid, r) in zip(shares[1:], children):
+            with os.fdopen(r, encoding="utf-8") as fh, suppress(ValueError):  # a missing or partial result
+                done.update(zip(share, json.load(fh)))
+            os.waitpid(pid, 0)
+            reaped += 1
+        if lanes > 1:
+            signal.signal(signal.SIGTERM, on_term)
+    except BaseException as exc:
+        for fd in (*pipe, *[r for _, r in children[reaped:]]):
+            with suppress(OSError):  # a read end may be closed already
+                os.close(fd)
+        for pid, _ in children[reaped:]:
+            with suppress(OSError):  # the lane may be reaped already
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if lanes > 1:
+            signal.signal(signal.SIGTERM, on_term)
+            if isinstance(exc, _Terminated):
+                signal.raise_signal(signal.SIGTERM)
+        raise
+    return [done[i] if i in done else vars(checks[i]()) for i in range(len(checks))]
 
 
 def _emit(command, meta, out, **body):
@@ -201,8 +199,9 @@ def _emit(command, meta, out, **body):
     its ``meta``, to the file ``out`` or else to stdout.
 
     The one place a report becomes text: ``meta`` and ``body`` hold exact
-    values, and :func:`_plain` writes each one ``json`` cannot (a forked
-    lane's reports arrive already written by it, see ``_run_checks``)."""
+    values, a check's report as the shallow dict of its fields, and
+    :func:`_plain` writes each one ``json`` cannot (a forked lane's reports
+    arrive already written by it, see ``_run_checks``)."""
     doc = {"schema": SCHEMA, "version": __version__, "meta": {"command": command, **meta}, **body}
     text = json.dumps(doc, indent=2, sort_keys=True, default=_plain) + "\n"
     if out:

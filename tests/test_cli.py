@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -233,6 +234,14 @@ def _lanes(monkeypatch, n):
     monkeypatch.setattr(cli, "_usable_cores", lambda: n)
 
 
+@pytest.fixture
+def default_sigterm():
+    # forked lanes replace only the default SIGTERM handler, and restore it
+    old = signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    yield
+    signal.signal(signal.SIGTERM, old)
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -255,7 +264,7 @@ def test_lanes_write_the_same_bytes(monkeypatch, argv):
     (2, [{0, 3, 4}, {1, 2}]),
     (3, [{0}, {1, 4}, {2, 3}]),
 ])
-def test_lanes_take_checks_forwards_then_backwards(monkeypatch, n, shares):
+def test_lanes_take_checks_forwards_then_backwards(monkeypatch, default_sigterm, n, shares):
     _lanes(monkeypatch, n)
     reports = cli._run_checks([lambda: CheckReport(str(os.getpid()))] * 5)
     lanes = {}
@@ -263,6 +272,7 @@ def test_lanes_take_checks_forwards_then_backwards(monkeypatch, n, shares):
         lanes.setdefault(int(report["name"]), set()).add(i)
     assert lanes[os.getpid()] == shares[0]
     assert sorted(lanes.values(), key=min) == shares
+    assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
     _no_child_left()
 
 
@@ -452,6 +462,72 @@ def test_interrupt_while_waiting_for_a_lane_kills_it(monkeypatch):
     _no_child_left()
 
 
+def test_interrupt_while_reaping_a_lane_reaps_it(monkeypatch, default_sigterm):
+    # the lane's pipe is read, and the interrupt lands as it is reaped
+    real_waitpid, interrupted = os.waitpid, []
+
+    def waitpid(pid, options):
+        if pid > 0 and not interrupted:
+            interrupted.append(pid)
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    _lanes(monkeypatch, 2)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    result = run_cli(["verify", "--suite", "all"])
+    assert interrupted
+    assert result.exit_code == cli.EXIT_INTERRUPTED
+    assert result.output.strip() == "Aborted!"
+    assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    _no_child_left()
+
+
+def test_failed_fork_closes_its_pipe(monkeypatch, default_sigterm):
+    # the second of three lanes cannot be forked: the first is killed and
+    # reaped, and no pipe is left open
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "fork failed")
+        return real_fork()
+
+    _lanes(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "run_sign_sweep", _sleep)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    start = time.monotonic()
+    result = run_cli(["verify", "--suite", "all"])
+    assert time.monotonic() - start < 30
+    assert result.exit_code == cli.EXIT_INTERNAL
+    assert "BlockingIOError" in result.stderr
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    _no_child_left()
+
+
+def test_ignored_sigterm_stays_ignored(monkeypatch):
+    # lane 0's last check sends this process a SIGTERM that its caller
+    # ignores: the call goes on, as it does with one lane
+    def terminate_self(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGTERM)
+        return CheckReport("kappa")
+
+    monkeypatch.setattr(cli, "run_kappa_check", terminate_self)
+    old = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    try:
+        for n in (1, 2):
+            _lanes(monkeypatch, n)
+            assert run_cli(["verify", "--suite", "all"]).exit_code == 0
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_IGN
+            _no_child_left()
+    finally:
+        signal.signal(signal.SIGTERM, old)
+
+
 def _raise(error, message):
     # a new exception on each call, as a check raises it
     def run(*args, **kwargs):
@@ -485,23 +561,40 @@ def test_lanes_fail_with_the_same_stderr(monkeypatch, case):
     assert results[0] == results[1]
 
 
-def test_sigint_aborts_every_lane():
-    # SIGINT to the whole process group, as Ctrl-C in a terminal sends it
+def _signalled_verify(command, send):
+    """Exit code, stdout and stderr of a few-second `verify --suite all`, run
+    as ``python <command> <argv>`` in a new session and sent a signal by
+    ``send(pid)`` 0.8 s in, once it has ended with no process of the session
+    left."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = ["verify", "--suite", "all", "--rvec", "1,1,1,0", "--order", "6", "--points", "2"]
-    proc = subprocess.Popen([sys.executable, "-m", "tetrainst.cli", *argv], env=env,
+    # about 2.6 s on two cores of a 2-vCPU Xeon host (Python 3.11), so that the
+    # signal lands while the lanes run; at order 6 the call could end first
+    argv = ["verify", "--suite", "all", "--rvec", "1,1,1,0", "--order", "7", "--points", "2"]
+    proc = subprocess.Popen([sys.executable, *command, *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
     try:
         time.sleep(0.8)
-        os.killpg(proc.pid, signal.SIGINT)
+        send(proc.pid)
         out, err = proc.communicate(timeout=60)
-        assert proc.returncode == cli.EXIT_INTERRUPTED
-        assert out == b""
-        assert err == b"Aborted!\n"
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
+        return proc.returncode, out, err
     finally:
         with suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
+
+
+def test_sigint_aborts_every_lane():
+    # SIGINT to the whole process group, as Ctrl-C in a terminal sends it
+    result = _signalled_verify(["-m", "tetrainst.cli"], lambda pid: os.killpg(pid, signal.SIGINT))
+    assert result == (cli.EXIT_INTERRUPTED, b"", b"Aborted!\n")
+
+
+def test_sigterm_ends_every_lane():
+    # SIGTERM to the parent alone, as `kill` sends it, with two lanes on any
+    # host; the parent ends by it, as it does with one lane
+    two_lanes = "import sys; from tetrainst import cli; cli._usable_cores = lambda: 2; cli.main(sys.argv[1:])"
+    result = _signalled_verify(["-c", two_lanes], lambda pid: os.kill(pid, signal.SIGTERM))
+    assert result == (-signal.SIGTERM, b"", b"")
