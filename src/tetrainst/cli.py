@@ -99,13 +99,16 @@ def _usable_cores():
         return 1
 
 
-def _lane(checks, share):
+def _lane(checks, share, parent=None):
     """The reports of the checks whose indices are ``share``, in order and as
-    the dicts a report writes, up to the first that raises an ``Exception``.
-    An interrupt is not caught: it ends the lane at once."""
+    the dicts a report writes, up to the first that raises an ``Exception``
+    or, given the pid ``parent``, starts once this process's parent is
+    another.  An interrupt is not caught: it ends the lane at once."""
     reports = []
     with suppress(Exception):
         for i in share:
+            if parent is not None and os.getppid() != parent:
+                break
             reports.append(vars(checks[i]()))
     return reports
 
@@ -142,8 +145,8 @@ def _run_checks(checks):
     the pipe's buffer.  On any error or interrupt, the one ``except`` closes,
     kills and reaps every lane not yet reaped.  A SIGTERM that would end
     this process takes that path too, and then ends it by SIGTERM, as with
-    one lane; a lane whose parent is killed by SIGKILL runs on to the end of
-    its share."""
+    one lane.  No handler runs on SIGKILL, so a lane whose parent is gone
+    starts no further check, but the check it is running runs to its end."""
     lanes = min(len(checks), _usable_cores())
     shares = [[] for _ in range(lanes)]
     for i in range(len(checks)):
@@ -155,7 +158,7 @@ def _run_checks(checks):
         on_term = signal.getsignal(signal.SIGTERM)
         if on_term is signal.SIG_DFL:
             signal.signal(signal.SIGTERM, _terminate)
-    children, reaped, pipe = [], 0, ()
+    children, reaped, pipe, parent = [], 0, (), os.getpid()
     try:
         for share in shares[1:]:
             r, w = pipe = os.pipe()
@@ -164,7 +167,7 @@ def _run_checks(checks):
                 try:
                     os.close(r)
                     with os.fdopen(w, "w", encoding="utf-8") as fh:
-                        fh.write(json.dumps(_lane(checks, share), default=_plain))
+                        fh.write(json.dumps(_lane(checks, share, parent), default=_plain))
                 finally:
                     os._exit(0)
             children.append((pid, r))

@@ -5,7 +5,8 @@ summing the chosen localization measure of minus the vertex term over all
 configurations of a given size, and compared against the closed formulas
 at exactly sampled rational points (probabilistic identity testing with
 exact arithmetic: no tolerance anywhere).  The bracket and the Euler class
-of minus the vertex are taken as the reciprocals of the vertex's own.
+of minus the vertex are taken as the reciprocals of the vertex's own.  The
+characters of each size are grown by one box from those of the size below.
 """
 
 from __future__ import annotations
@@ -26,10 +27,13 @@ from .algebra import (
 )
 from .formulas import check_kappa_identity, closed_Z_K, closed_Z_coh, factorized_Z
 from .partitions import (
+    Configuration,
+    PlanePartition,
     configuration_sign,
     embed_to_solid,
     enumerate_configurations,
     enumerate_plane_partitions,
+    rank_vector,
     sign_rho,
     sign_rho_tilde,
 )
@@ -138,19 +142,28 @@ def sample_until(fn, seed, rvec, mode="k"):
 # localization sums
 
 
+def _levels(rvec, order):
+    """The nodes ``(configuration, fixed point, vertex)`` of each size up to
+    ``order``, one tuple per size; the rank vector is checked once here."""
+    rv = rank_vector(rvec)
+    return [_level(rv, n) for n in range(order + 1)]
+
+
 @lru_cache(maxsize=None)
-def _characters(config):
-    """The fixed-point data of ``config`` and its vertex; built once per
-    process, since neither depends on the point.  The localization sums and
-    the sign rule both read it.  A nonempty configuration is grown by one box
-    from its parent's pair (``Configuration.parent``)."""
-    if not config.size:
+def _level(rvec, n):
+    """The nodes of size ``n``, built once per process, as none depends on the
+    point.  The empty configuration's is built directly, every other grown by
+    one box from a node of size ``n - 1`` (``Configuration.children``)."""
+    if n == 0:
+        config = Configuration._of_checked(rvec, tuple((PlanePartition(()),) * r for r in rvec))
         fp = build_fixed_point(config)
-        return fp, vertex(fp)
-    parent, slot, box = config.parent()
-    pfp, pv = _characters(parent)
-    fp = build_fixed_point(config, (pfp, slot, box))
-    return fp, vertex(fp, (pv, slot, box))
+        return ((config, fp, vertex(fp)),)
+    nodes = []
+    for config, pfp, pv in _level(rvec, n - 1):
+        for child, slot, box in config.children():
+            fp = build_fixed_point(child, (pfp, slot, box))
+            nodes.append((child, fp, vertex(fp, (pv, slot, box))))
+    return tuple(nodes)
 
 
 def _localization_sum(rvec, order, measure, zero):
@@ -158,10 +171,10 @@ def _localization_sum(rvec, order, measure, zero):
     the vertex, summed over the configurations of each size, starting from
     ``zero``."""
     coeffs = []
-    for n in range(order + 1):
+    for level in _levels(rvec, order):
         total = zero
-        for config in enumerate_configurations(rvec, n):
-            total = total + measure(_characters(config)[1])
+        for _, _, v in level:
+            total = total + measure(v)
         coeffs.append(total)
     return coeffs
 
@@ -230,7 +243,8 @@ def check_sign_identity(config, p):
     Checks the main identity relating the two square roots and the per-slot
     and per-pair block identities that imply it.  Returns True iff all hold.
     """
-    return _identities_hold(_sign_identities(config), p)
+    fp = build_fixed_point(config)
+    return _identities_hold(_sign_identities(config, fp, vertex(fp)), p)
 
 
 def _identities_hold(identities, p):
@@ -239,16 +253,15 @@ def _identities_hold(identities, p):
     return all(sign * bracket_eval(lhs, p) == bracket_eval(rhs, p) for sign, lhs, rhs in identities)
 
 
-def _sign_identities(config):
+def _sign_identities(config, fp, v):
     """``(sign, lhs, rhs)`` with ``sign * [lhs] == [rhs]`` for each identity
-    of the sign rule, in checking order: minus the vertex against the tilde
-    vertex minus ``T Qbar``; per slot, the :func:`tilde_form` of its partition
-    character with ``Pbar_{123}`` against that with its own leg's factor; per
-    slot pair, the generic :func:`vertex_block` (``pleg=4``) against the
-    vertex's own.  The characters do not depend on the point:
-    :func:`run_sign_sweep` builds them once per configuration and evaluates
-    them at every point."""
-    fp, v = _characters(config)
+    of the sign rule at the node ``(config, fp, v)``, in checking order: minus
+    the vertex ``v`` against the tilde vertex minus ``T Qbar``; per slot, the
+    :func:`tilde_form` of its partition character with ``Pbar_{123}`` against
+    that with its own leg's factor; per slot pair, the generic
+    :func:`vertex_block` (``pleg=4``) against the vertex's own.  The
+    characters do not depend on the point: :func:`run_sign_sweep` builds them
+    once per configuration and evaluates them at every point."""
     vt = tilde_vertex(fp)
     extra = fp.T * fp.Q.dual()
     sign = -1 if configuration_sign(config) else 1
@@ -284,22 +297,20 @@ def check_rho_tilde_vanishes(max_size):
 
 
 def run_sign_sweep(rvec, max_size, seed, num_points=3):
-    """check_sign_identity over all configurations up to a size, several points."""
+    """The identities of :func:`check_sign_identity` for every configuration
+    up to a size at several points, each distinct one once per point."""
     report = CheckReport("sign-rule", tuple(rvec), max_size, seed)
-    configs = []
-    for n in range(max_size + 1):
-        configs.extend(enumerate_configurations(rvec, n))
-    # configurations that share a slot or a slot pair share its block identity:
-    # each distinct identity is checked once per point, in first-seen order
+    nodes = [node for level in _levels(rvec, max_size) for node in level]
+    # configurations that share a slot or a slot pair share its block identity
     distinct = {}
-    for c in configs:
-        for sign, lhs, rhs in _sign_identities(c):
+    for node in nodes:
+        for sign, lhs, rhs in _sign_identities(*node):
             key = (sign, frozenset(lhs.terms.items()), frozenset(rhs.terms.items()))
             distinct.setdefault(key, (sign, lhs, rhs))
     identities = tuple(distinct.values())
     for idx in range(num_points):
         ok = report.sample(lambda point: _identities_hold(identities, point), seed + idx, "k")
-        report.record(ok, point_index=idx, configurations=len(configs))
+        report.record(ok, point_index=idx, configurations=len(nodes))
     report.record(check_rho_tilde_vanishes(max_size), check="rho-tilde-vanishing")
     return report
 

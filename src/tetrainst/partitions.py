@@ -92,8 +92,8 @@ class Configuration:
     def _of_checked(cls, rvec, legs):
         """A configuration over ``rvec``, a tuple that :func:`rank_vector` has
         already returned, and ``legs`` that match it, so ``__post_init__``'s
-        checks would repeat for nothing.  Enumeration and the parent link
-        build configurations this way."""
+        checks would repeat for nothing.  Enumeration and the growth of the
+        localization levels build configurations this way."""
         config = object.__new__(cls)
         object.__setattr__(config, "rvec", rvec)
         object.__setattr__(config, "legs", legs)
@@ -112,23 +112,34 @@ class Configuration:
             for l, p in enumerate(leg, start=1):
                 yield (i, l), p
 
-    def parent(self):
-        """``(parent, slot, box)``: this configuration less ``box``, the
-        lexicographically largest box of its last nonempty slot, whose key
-        ``(i, l)`` is ``slot``.  No box dominates that box, so it is a corner
-        and the parent is a configuration of size one less.  Raises
-        ``ValueError`` on the empty configuration."""
-        legs = self.legs
-        for i in range(4, 0, -1):
+    def children(self):
+        """``(child, slot, box)`` for each configuration that is this one plus
+        ``box`` in ``slot``, ``box`` being the lexicographically largest box of
+        its last nonempty slot: each configuration of size n + 1 is a child of
+        exactly one of size n, the one less that box."""
+        rvec, legs = self.rvec, self.legs
+        grow = []
+        for (i, l), pp in reversed(list(self.slots())):
+            boxes = pp.boxes
+            if not boxes:
+                grow.append((i, l, (0, 0, 0)))
+                continue
+            # any other box after (a, b, c) has a box below it after (a, b, c);
+            # below these three, (a, b, c), (a, b, 0) and (a, 0, 0) are there
+            a, b, c = boxes[-1]
+            if (not a or (a - 1, b, c + 1) in boxes) and (not b or (a, b - 1, c + 1) in boxes):
+                grow.append((i, l, (a, b, c + 1)))
+            if not a or (a - 1, b + 1, 0) in boxes:
+                grow.append((i, l, (a, b + 1, 0)))
+            grow.append((i, l, (a + 1, 0, 0)))
+            break
+        out = []
+        for i, l, box in grow:
             leg = legs[i - 1]
-            for l in range(len(leg), 0, -1):
-                boxes = leg[l - 1].boxes
-                if boxes:
-                    # the boxes are sorted, so the rest of them are too
-                    leg = (*leg[: l - 1], PlanePartition._of_sorted(boxes[:-1]), *leg[l:])
-                    parent = Configuration._of_checked(self.rvec, (*legs[: i - 1], leg, *legs[i:]))
-                    return parent, (i, l), boxes[-1]
-        raise ValueError("the empty configuration has no parent")
+            # box comes after every box of the slot, so the boxes stay sorted
+            leg = (*leg[: l - 1], PlanePartition._of_sorted((*leg[l - 1].boxes, box)), *leg[l:])
+            out.append((Configuration._of_checked(rvec, (*legs[: i - 1], leg, *legs[i:])), (i, l), box))
+        return out
 
 
 def _boxes(stack):

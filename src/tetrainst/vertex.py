@@ -13,7 +13,8 @@ The vertex has two routes.  The direct one is its formula written in
 character arithmetic, and serves the empty configuration and the tests.  The
 grown one adds a single box ``X`` to a configuration whose vertex is known,
 which changes the vertex by O(size) terms; the localization sums build every
-nonempty configuration that way, from ``Configuration.parent``.
+nonempty configuration that way, from a configuration of size one less that
+has it among its ``Configuration.children``.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ def build_fixed_point(config, parent=None):
     """The slot data of ``config``.
 
     Given ``parent = (parent_fp, slot, box)``, with ``parent_fp`` the data of
-    ``config.parent()`` and ``slot`` and ``box`` as that method returns them,
-    only that slot's character is new: it is the parent's plus the box's
+    a configuration that has ``config`` among its ``Configuration.children``,
+    and ``slot`` and ``box`` as that method returns them with it, only that
+    slot's character is new: it is the parent's plus the box's
     :func:`box_weight`, and every other slot's character and the framing
     weights are shared.
     """

@@ -13,13 +13,16 @@ or a predicate the package never needs at run time, so none of it is in
   against ``vertex.virtual_tangent``, and the vertex reassembled from its
   blocks, against ``vertex.vertex``;
 * the linear relation among the four rank-1 first coefficients;
-* the order-ideal test and the truncation of a series.
+* the parent of a configuration, against ``Configuration.children``, and
+  the order-ideal test;
+* the truncation of a series.
 """
 
 from fractions import Fraction
 
 from tetrainst.algebra import Character, bracket_eval, eval_monomial, monomial, t_monomial
 from tetrainst.formulas import rank1_Z
+from tetrainst.partitions import Configuration, PlanePartition
 from tetrainst.series import BadConstantTermError, QSeries
 from tetrainst.vertex import vertex_block
 
@@ -176,3 +179,20 @@ def is_order_ideal(boxes):
                 if tuple(below) not in cells:
                     return False
     return True
+
+
+def parent(config):
+    """``(parent, slot, box)``: ``config`` less ``box``, the lexicographically
+    largest box of its last nonempty slot, whose key ``(i, l)`` is ``slot``.
+    No box dominates that box, so it is a corner and the parent is a
+    configuration of size one less.  Raises ``ValueError`` on the empty
+    configuration."""
+    legs = config.legs
+    for i in range(4, 0, -1):
+        leg = legs[i - 1]
+        for l in range(len(leg), 0, -1):
+            boxes = leg[l - 1].boxes
+            if boxes:
+                leg = (*leg[: l - 1], PlanePartition(boxes[:-1]), *leg[l:])
+                return Configuration(config.rvec, (*legs[: i - 1], leg, *legs[i:])), (i, l), boxes[-1]
+    raise ValueError("the empty configuration has no parent")

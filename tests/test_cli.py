@@ -598,3 +598,41 @@ def test_sigterm_ends_every_lane():
     two_lanes = "import sys; from tetrainst import cli; cli._usable_cores = lambda: 2; cli.main(sys.argv[1:])"
     result = _signalled_verify(["-c", two_lanes], lambda pid: os.kill(pid, signal.SIGTERM))
     assert result == (-signal.SIGTERM, b"", b"")
+
+
+def test_a_lane_whose_parent_is_killed_starts_no_further_check(tmp_path):
+    # with two lanes, lane 1 runs the signs check and then the framing check;
+    # its first check SIGKILLs the parent and waits to be reparented, so the
+    # framing check, which would leave a file behind, must never start
+    marker = tmp_path / "framing-ran"
+    script = (
+        "import os, sys, time\n"
+        "from tetrainst import cli\n"
+        "cli._usable_cores = lambda: 2\n"
+        "sweep = cli.run_sign_sweep\n"
+        "def orphaning_sweep(*args):\n"
+        "    parent = os.getppid()\n"
+        "    os.kill(parent, 9)\n"
+        "    while os.getppid() == parent:\n"
+        "        time.sleep(0.01)\n"
+        "    return sweep(*args)\n"
+        "def framing(*args):\n"
+        "    open(sys.argv[1], 'w').close()\n"
+        "cli.run_sign_sweep = orphaning_sweep\n"
+        "cli.check_framing_independence = framing\n"
+        "cli.main(['verify', '--suite', 'all'])\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", script, str(marker)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        # the lane holds the parent's stdout and stderr, so they reach EOF
+        # only once the lane has ended too
+        out, err = proc.communicate(timeout=60)
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert (proc.returncode, out, err) == (-signal.SIGKILL, b"", b"")
+    assert not marker.exists()

@@ -26,7 +26,7 @@ from tetrainst.partitions import Configuration, PlanePartition, enumerate_config
 from tetrainst.series import QSeries
 from tetrainst.vertex import build_fixed_point, tilde_vertex, vertex_block
 
-from reference import truncate
+from reference import parent, truncate
 
 
 def test_sample_point_deterministic():
@@ -191,14 +191,14 @@ def test_sign_rule_pair_identities_are_not_trivial(rvec):
     # the default P-factor is the pair's larger leg, not leg 4's Pbar_123;
     # were it leg 4, each pair identity would compare a block with itself
     nontrivial = 0
-    for n in range(3):
-        for config in enumerate_configurations(rvec, n):
-            fp = localization._characters(config)[0]
+    for level in localization._levels(rvec, 2):
+        for node in level:
+            fp = node[1]
             slots = list(fp.Z)
             for a, (i, l) in enumerate(slots):
                 for (j, k) in slots[a:]:
                     assert vertex_block(fp, i, l, j, k) == vertex_block(fp, i, l, j, k, pleg=j)
-            pairs = localization._sign_identities(config)[1 + len(slots) :]
+            pairs = localization._sign_identities(*node)[1 + len(slots) :]
             assert len(pairs) == len(slots) * (len(slots) - 1) // 2
             nontrivial += sum(lhs != rhs for _, lhs, rhs in pairs)
     assert nontrivial > 0
@@ -291,7 +291,7 @@ def test_localization_sum_order_independent():
 
 
 def test_characters_built_once_per_configuration(monkeypatch):
-    localization._characters.cache_clear()
+    localization._level.cache_clear()
     built = Counter()
     tilde = Counter()
 
@@ -313,10 +313,10 @@ def test_characters_built_once_per_configuration(monkeypatch):
     assert set(built) == {c for n in range(4) for c in enumerate_configurations(rvec, n)}
     assert max(built.values()) == 1
     # the sweep builds each configuration's sign identities once, for all its points
-    assert tilde == Counter(id(localization._characters(c)[0]) for c in built)
+    assert tilde == Counter(id(fp) for level in localization._levels(rvec, 3) for _, fp, _ in level)
 
 
-def test_the_rank_vector_is_checked_once_per_enumeration(monkeypatch):
+def test_the_rank_vector_is_checked_once_per_call(monkeypatch):
     calls = Counter()
 
     def counted(name, fn):
@@ -327,39 +327,57 @@ def test_the_rank_vector_is_checked_once_per_enumeration(monkeypatch):
         return wrapper
 
     for name in ("rank_vector", "enumerate_configurations"):
-        monkeypatch.setattr(partitions, name, counted(name, getattr(partitions, name)))
-    partitions._configurations.cache_clear()
-    localization._characters.cache_clear()
-    # building the characters reaches every parent through the parent link
-    for n in range(5):
-        for config in partitions.enumerate_configurations((1, 1, 1, 1), n):
-            localization._characters(config)
-    assert calls["enumerate_configurations"] == 5
-    assert calls["rank_vector"] == calls["enumerate_configurations"]
+        wrapper = counted(name, getattr(partitions, name))
+        for module in (partitions, localization):
+            monkeypatch.setattr(module, name, wrapper)
+    localization._level.cache_clear()
+    # the levels grow every configuration from the size below, with no
+    # enumeration and no second check of the rank vector
+    p = EvalPoint((Fraction(2, 3), Fraction(5, 7), Fraction(11, 2)), (Fraction(3, 5), 13, Fraction(7, 4), 3))
+    for _ in range(2):
+        Z_loc_K([1, 1, 1, 1], 4, p)
+    assert calls == {"rank_vector": 2}
+
+
+@pytest.mark.parametrize(
+    "rvec, max_size",
+    [((1, 1, 1, 1), 4), ((0, 0, 0, 1), 9), ((2, 0, 1, 0), 4), ((0, 3, 0, 0), 4), ((0, 0, 0, 0), 3)],
+)
+def test_each_level_holds_its_configurations_once(rvec, max_size):
+    # Configuration.children inverts the parent rule, so growing every node of
+    # size n - 1 reaches each configuration of size n once
+    levels = localization._levels(rvec, max_size)
+    assert len(levels) == max_size + 1
+    for n, level in enumerate(levels):
+        configs = [config for config, _, _ in level]
+        assert len(configs) == len(set(configs)) == len(enumerate_configurations(rvec, n))
+        assert set(configs) == set(enumerate_configurations(rvec, n))
+        for config, _, _ in levels[n - 1] if n else ():
+            for child, slot, box in config.children():
+                assert parent(child) == (config, slot, box)
 
 
 def test_growth_never_aliases_or_writes_into_a_parent():
     rvec = (1, 1, 1, 1)
-    localization._characters.cache_clear()
-    configs = [c for n in range(5) for c in enumerate_configurations(rvec, n)]
+    localization._level.cache_clear()
     snapshots = {}
     # each size is snapshot before the next size's configurations grow from it
-    for config in configs:
-        fp, v = localization._characters(config)
-        snapshots[config] = (dict(v.terms), {s: dict(Z.terms) for s, Z in fp.Z.items()}, dict(fp.w))
-    for config in configs:
-        fp, v = localization._characters(config)
+    for n in range(5):
+        for config, fp, v in localization._level(rvec, n):
+            snapshots[config] = (dict(v.terms), {s: dict(Z.terms) for s, Z in fp.Z.items()}, dict(fp.w))
+    nodes = [node for level in localization._levels(rvec, 4) for node in level]
+    for config, fp, v in nodes:
         assert (dict(v.terms), {s: dict(Z.terms) for s, Z in fp.Z.items()}, dict(fp.w)) == snapshots[config]
-    cached = [localization._characters(c) for c in configs]
-    assert len({id(v.terms) for _, v in cached}) == len(configs)
-    assert len({id(fp.Z) for fp, _ in cached}) == len(configs)
-    for config in configs[1:]:
-        parent = config.parent()[0]
+    assert len({id(v.terms) for _, _, v in nodes}) == len(nodes) == len(snapshots)
+    assert len({id(fp.Z) for _, fp, _ in nodes}) == len(nodes)
+    # a grown configuration equals, and hashes as, one built by the public constructors
+    for config, _, _ in nodes:
         public = Configuration(
-            list(rvec), tuple(tuple(PlanePartition(pp.boxes) for pp in leg) for leg in parent.legs)
+            list(rvec), tuple(tuple(PlanePartition(pp.boxes) for pp in leg) for leg in config.legs)
         )
-        assert parent == public and hash(parent) == hash(public)
-        assert public in snapshots
+        assert config == public and hash(config) == hash(public)
+        if config.size:
+            assert parent(config)[0] in snapshots
 
 
 def test_Z_loc_K_same_from_warm_and_cleared_caches():
@@ -367,7 +385,7 @@ def test_Z_loc_K_same_from_warm_and_cleared_caches():
     sqrt_t3, sqrt_w = (Fraction(2, 3), Fraction(5, 7), Fraction(11, 2)), (Fraction(3, 5), 13)
     p = EvalPoint(sqrt_t3, sqrt_w)
     warm = [Z_loc_K(rvec, 3, p) for _ in range(2)]
-    localization._characters.cache_clear()
+    localization._level.cache_clear()
     cold = Z_loc_K(rvec, 3, EvalPoint(sqrt_t3, sqrt_w))
     assert warm[0] == warm[1] == cold
     assert cold == closed_Z_K(rvec, 3, EvalPoint(sqrt_t3, sqrt_w))

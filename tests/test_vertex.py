@@ -215,9 +215,8 @@ def test_off_diagonal_block_of_empty_partitions():
 def test_grown_characters_match_the_direct_route(rvec, max_size):
     # from a cleared cache every nonempty configuration is grown box by box
     # from the empty one, through build_fixed_point and vertex with a parent
-    localization._characters.cache_clear()
-    for config in configs_up_to(rvec, max_size):
-        fp, v = localization._characters(config)
+    localization._level.cache_clear()
+    for config, fp, v in (node for level in localization._levels(rvec, max_size) for node in level):
         direct = build_fixed_point(config)
         assert fp.Z == direct.Z
         assert fp.w == direct.w
