@@ -1,17 +1,19 @@
 """Plane partitions, configurations and the solid-partition sign counts.
 
 Plane partitions are finite order ideals in Z^3_{>=0}.  They are enumerated
-by one rule in every dimension: an ideal of Z^d_{>=0} is a stack of ideals of
-Z^(d-1)_{>=0}, each inside the one below it, and an ideal of Z_{>=0} is a row
-``0..n-1``.  Enumeration of plane partitions per size, and of configurations
-per rank vector and size, is memoized for the life of the process.
+by one rule: each configuration of size n + 1 is one of the children
+(:meth:`Configuration.children`) of exactly one configuration of size n, so
+the configurations of a size grow from those of the size below, starting
+from the empty one.  The plane partitions of size n are the configurations
+of rank vector ``(0, 0, 0, 1)``.  The configurations per rank vector and size
+are memoized for the life of the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -142,71 +144,36 @@ class Configuration:
         return out
 
 
-def _boxes(stack):
-    """The boxes of a stack of layers, the k-th layer at first coordinate k."""
-    return ((k, *box) for k, layer in enumerate(stack) for box in layer)
-
-
-@lru_cache(maxsize=None)
-def _ideals(d, n):
-    """All order ideals of size ``n`` in Z^d_{>=0}, as frozensets of boxes."""
-    if d == 1:
-        return (frozenset((a,) for a in range(n)),)
-    return tuple(frozenset(_boxes(stack)) for stack in _stacks(d - 1, n))
-
-
-def _stacks(d, n, below=None):
-    """Stacks of nonempty ideals of Z^d_{>=0}, each inside the one below it
-    and the first inside ``below`` if given, with sizes summing to ``n``."""
-    if n == 0:
-        yield ()
-        return
-    for m in range(n if below is None else min(n, len(below)), 0, -1):
-        for layer in _ideals(d, m):
-            if below is None or layer <= below:
-                for rest in _stacks(d, n - m, layer):
-                    yield (layer, *rest)
-
-
-@lru_cache(maxsize=None)
-def enumerate_plane_partitions(n):
-    """All plane partitions of size exactly ``n``, canonically ordered."""
+def _size(n):
+    """``n`` as an int, checked before any growth: ``TypeError`` if it is not
+    an integer, ``ValueError`` if it is negative."""
+    n = index(n)
     if n < 0:
         raise ValueError("size must be nonnegative")
-    result = [PlanePartition(_boxes(stack)) for stack in _stacks(2, n)]
-    result.sort(key=lambda p: p.boxes)
-    return tuple(result)
-
-
-def _compositions(n, parts):
-    if parts == 0:
-        if n == 0:
-            yield ()
-        return
-    for k in range(n + 1):
-        for rest in _compositions(n - k, parts - 1):
-            yield (k,) + rest
+    return n
 
 
 def enumerate_configurations(rvec, n):
     """All configurations with the given rank vector and total size ``n``, as
-    a tuple built once per ``(rvec, n)`` for the life of the process."""
-    rv = rank_vector(rvec)
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    return _configurations(rv, n)
+    a tuple built once per ``(rvec, n)`` for the life of the process: the
+    children (:meth:`Configuration.children`) of those of size ``n - 1``."""
+    return _configurations(rank_vector(rvec), _size(n))
 
 
 @lru_cache(maxsize=None)
 def _configurations(rvec, n):
-    # rvec comes checked from enumerate_configurations, once per (rvec, n)
-    configs = []
-    for comp in _compositions(n, sum(rvec)):
-        for choice in product(*(enumerate_plane_partitions(k) for k in comp)):
-            slots = iter(choice)
-            legs = tuple(tuple(islice(slots, ri)) for ri in rvec)
-            configs.append(Configuration._of_checked(rvec, legs))
-    return tuple(configs)
+    # rvec and n come checked from a public caller; each size grows from the one below
+    if n == 0:
+        return (Configuration._of_checked(rvec, tuple((PlanePartition(()),) * r for r in rvec)),)
+    return tuple(child for config in _configurations(rvec, n - 1) for child, _, _ in config.children())
+
+
+def enumerate_plane_partitions(n):
+    """All plane partitions of size exactly ``n``, sorted by their boxes: the
+    one slot of each configuration of rank vector ``(0, 0, 0, 1)``."""
+    pps = [config.legs[3][0] for config in _configurations((0, 0, 0, 1), _size(n))]
+    pps.sort(key=lambda p: p.boxes)
+    return tuple(pps)
 
 
 def embed_to_solid(pp, i):

@@ -13,12 +13,14 @@ or a predicate the package never needs at run time, so none of it is in
   against ``vertex.virtual_tangent``, and the vertex reassembled from its
   blocks, against ``vertex.vertex``;
 * the linear relation among the four rank-1 first coefficients;
-* the parent of a configuration, against ``Configuration.children``, and
-  the order-ideal test;
+* the parent of a configuration, against ``Configuration.children``, the
+  order-ideal test, and the order ideals of any dimension as stacks of
+  ideals of the dimension below;
 * the truncation of a series.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from tetrainst.algebra import Character, bracket_eval, eval_monomial, monomial, t_monomial
 from tetrainst.formulas import rank1_Z
@@ -179,6 +181,35 @@ def is_order_ideal(boxes):
                 if tuple(below) not in cells:
                     return False
     return True
+
+
+@lru_cache(maxsize=None)
+def order_ideals(d, n):
+    """All order ideals of size ``n`` in Z^d_{>=0}, as frozensets of boxes.
+
+    An ideal of Z^d_{>=0} is a stack of nonempty ideals of Z^(d-1)_{>=0},
+    each inside the one below it, the k-th at first coordinate k; an ideal
+    of Z_{>=0} is a row ``0..n-1``.
+    """
+    if d == 1:
+        return (frozenset((a,) for a in range(n)),)
+    return tuple(
+        frozenset((k, *box) for k, layer in enumerate(stack) for box in layer)
+        for stack in _stacks(d - 1, n)
+    )
+
+
+def _stacks(d, n, below=None):
+    """Stacks of nonempty ideals of Z^d_{>=0}, each inside the one below it
+    and the first inside ``below`` if given, with sizes summing to ``n``."""
+    if n == 0:
+        yield ()
+        return
+    for m in range(n if below is None else min(n, len(below)), 0, -1):
+        for layer in order_ideals(d, m):
+            if below is None or layer <= below:
+                for rest in _stacks(d, n - m, layer):
+                    yield (layer, *rest)
 
 
 def parent(config):

@@ -26,7 +26,7 @@ from tetrainst.partitions import Configuration, PlanePartition, enumerate_config
 from tetrainst.series import QSeries
 from tetrainst.vertex import build_fixed_point, tilde_vertex, vertex_block
 
-from reference import parent, truncate
+from reference import is_order_ideal, macmahon, parent, power, truncate
 
 
 def test_sample_point_deterministic():
@@ -344,17 +344,41 @@ def test_the_rank_vector_is_checked_once_per_call(monkeypatch):
     [((1, 1, 1, 1), 4), ((0, 0, 0, 1), 9), ((2, 0, 1, 0), 4), ((0, 3, 0, 0), 4), ((0, 0, 0, 0), 3)],
 )
 def test_each_level_holds_its_configurations_once(rvec, max_size):
-    # Configuration.children inverts the parent rule, so growing every node of
-    # size n - 1 reaches each configuration of size n once
+    # facts that do not come from Configuration.children: every slot is a plane
+    # partition, every configuration of level n has size n, none repeats, and
+    # level n counts as many as the MacMahon power says there are, so it
+    # holds each configuration of size n once
     levels = localization._levels(rvec, max_size)
     assert len(levels) == max_size + 1
+    counts = power(macmahon(max_size), sum(rvec))
     for n, level in enumerate(levels):
         configs = [config for config, _, _ in level]
-        assert len(configs) == len(set(configs)) == len(enumerate_configurations(rvec, n))
-        assert set(configs) == set(enumerate_configurations(rvec, n))
+        for config in configs:
+            assert config.rvec == rvec and config.size == n
+            assert all(is_order_ideal(pp.boxes) for _, pp in config.slots())
+        assert len(configs) == len(set(configs)) == counts.coefficient(n)
         for config, _, _ in levels[n - 1] if n else ():
             for child, slot, box in config.children():
                 assert parent(child) == (config, slot, box)
+
+
+def test_the_euler_suite_counts_the_growth_the_sums_use(monkeypatch):
+    # a growth rule that misses one configuration of size 4 must fail the suite
+    lost = Configuration(
+        (2, 0, 0, 0),
+        ((PlanePartition([(0, 0, 0), (1, 0, 0)]), PlanePartition([(0, 0, 0), (0, 1, 0)])), (), (), ()),
+    )
+    children = Configuration.children
+    monkeypatch.setattr(
+        Configuration, "children", lambda config: [node for node in children(config) if node[0] != lost]
+    )
+    partitions._configurations.cache_clear()
+    try:
+        report = check_euler_characteristics(2, 4)
+    finally:
+        partitions._configurations.cache_clear()
+    assert not report.passed
+    assert [d["n"] for d in report.details if not d["passed"]] == [4]
 
 
 def test_growth_never_aliases_or_writes_into_a_parent():

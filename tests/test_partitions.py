@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tetrainst import partitions
 from tetrainst.partitions import (
     Configuration,
     PlanePartition,
@@ -15,7 +14,7 @@ from tetrainst.partitions import (
 )
 from tetrainst.series import macmahon_power
 
-from reference import is_order_ideal, macmahon, parent
+from reference import is_order_ideal, macmahon, order_ideals, parent
 
 
 def test_counts_match_macmahon():
@@ -141,6 +140,12 @@ def test_enumeration_rejects_a_negative_rank():
         for _ in range(2):
             with pytest.raises(ValueError):
                 enumerate_configurations((0, 0, 0, 1), n)
+    # a size that is not an integer is rejected before any growth
+    for n in (1.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            enumerate_plane_partitions(n)
+        with pytest.raises(TypeError):
+            enumerate_configurations((0, 0, 0, 1), n)
 
 
 def test_embed_to_solid():
@@ -179,19 +184,19 @@ def _box_rule(sp, i):
     return sum(len({*box[: i - 1], *box[i:]}) == 1 and box[i - 1] > min(box) for box in sp.boxes) % 2
 
 
-def test_sign_rules_on_every_solid_partition_up_to_size_7():
+def test_sign_rules_on_every_solid_partition_up_to_size_8():
     counts, odd = [], 0
-    for n in range(8):
-        sps = [SolidPartition(partitions._boxes(stack)) for stack in partitions._stacks(3, n)]
+    for n in range(9):
+        sps = [SolidPartition(boxes) for boxes in order_ideals(4, n)]
         counts.append(len(set(sps)))
         for sp in sps:
             assert is_order_ideal(sp.boxes) and sp.size == n
             assert sign_rho(sp) == sign_rho_tilde(sp, 4)
             for i in range(1, 5):
                 assert sign_rho_tilde(sp, i) == _box_rule(sp, i)
-            odd += sign_rho(sp)
-    # OEIS A000293, the solid partitions of n
-    assert counts == [1, 1, 4, 10, 26, 59, 140, 307]
+            odd += sign_rho(sp) if n <= 7 else 0
+    # OEIS A000293, the solid partitions of n; odd counts those of sizes <= 7
+    assert counts == [1, 1, 4, 10, 26, 59, 140, 307, 684]
     assert odd == 251
 
 
