@@ -24,6 +24,7 @@ import sys
 import traceback
 from contextlib import contextmanager, suppress
 from fractions import Fraction
+from functools import partial
 
 import click
 
@@ -214,6 +215,17 @@ def _emit(command, meta, out, **body):
         click.echo(text, nl=False)
 
 
+# verify's suites, in --suite's and `all`'s order.  A row looks its check up
+# as it runs, so a patched or traced check is the one that runs.
+SUITES = {
+    "main": lambda rv, o: verify_main(rv, o["order"], o["seed"], o["points"], o["mode"]),
+    "signs": lambda rv, o: run_sign_sweep(rv, min(o["order"], 3), o["seed"], o["points"]),
+    "framing": lambda rv, o: check_framing_independence(rv, o["order"], o["seed"], o["framings"]),
+    "euler": lambda rv, o: check_euler_characteristics(sum(rv) if o["rank"] is None else o["rank"], o["order"]),
+    "kappa": lambda rv, o: run_kappa_check(max(o["order"], 6), o["seed"], o["points"]),
+}
+
+
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -223,7 +235,7 @@ def main():
 @main.command()
 @click.option("--rvec", required=True, help="rank vector, e.g. 0,0,0,1")
 @click.option("--order", default=2, type=click.IntRange(0), help="q-order N")
-@click.option("--mode", default="k", type=click.Choice(["k", "coh", "elliptic"]))
+@click.option("--mode", default="k", type=click.Choice(list(MODES)))
 @click.option("--p-order", default=2, type=click.IntRange(0), help="elliptic p-order")
 @click.option("--seed", default=0, type=int)
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
@@ -245,7 +257,7 @@ def compute(rvec, order, mode, p_order, seed, out):
 
 
 @main.command()
-@click.option("--suite", default="all", type=click.Choice(["main", "signs", "framing", "euler", "kappa", "all"]))
+@click.option("--suite", default="all", type=click.Choice([*SUITES, "all"]))
 @click.option("--rvec", default="0,0,0,1", help="rank vector, e.g. 1,1,0,0")
 @click.option(
     "--order",
@@ -260,7 +272,7 @@ def compute(rvec, order, mode, p_order, seed, out):
 @click.option("--framings", default=3, type=click.IntRange(2))
 @click.option("--r", "rank", default=None, type=click.IntRange(0), help="total rank for the euler suite")
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
-def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
+def verify(suite, rvec, out, **opts):
     """Run verification suites; exit 0 iff every check passes.
 
     The checks run on up to one process per usable core, and the report,
@@ -268,28 +280,17 @@ def verify(suite, rvec, order, mode, seed, points, framings, rank, out):
     of this process, lane 0, are visible to a tracer (see ``_run_checks``)."""
     rv = _parse_rvec(rvec)
     with _exit_codes():
-        checks = []
-        if suite in ("main", "all"):
-            checks.append(lambda: verify_main(rv, order, seed, points, mode))
-        if suite in ("signs", "all"):
-            checks.append(lambda: run_sign_sweep(rv, min(order, 3), seed, points))
-        if suite in ("framing", "all"):
-            checks.append(lambda: check_framing_independence(rv, order, seed, framings))
-        if suite in ("euler", "all"):
-            r = rank if rank is not None else sum(rv)
-            checks.append(lambda: check_euler_characteristics(r, order))
-        if suite in ("kappa", "all"):
-            checks.append(lambda: run_kappa_check(max(order, 6), seed, points))
+        checks = [partial(row, rv, opts) for name, row in SUITES.items() if suite in (name, "all")]
         reports = _run_checks(checks)
         passed = all(r["passed"] for r in reports)
         meta = {
             "suite": suite,
             "rvec": list(rv),
-            "order": order,
-            "mode": mode,
-            "seed": seed,
-            "points": points,
-            "framings": framings,
+            "order": opts["order"],
+            "mode": opts["mode"],
+            "seed": opts["seed"],
+            "points": opts["points"],
+            "framings": opts["framings"],
         }
         _emit("verify", meta, out, passed=passed, checks=reports)
     if not passed:

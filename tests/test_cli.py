@@ -73,35 +73,45 @@ def test_compute_invalid_rvec():
     assert run_cli(["compute", "--rvec", "1_0,0,0,0"]).exit_code == 2
 
 
-def test_verify_main_suite():
-    result = run_cli(["verify", "--suite", "main", "--rvec", "1,1,0,0", "--order", "2", "--points", "2", "--seed", "1"])
+# one smoke run per row of `cli.SUITES`: its argv and the name of its one check
+SUITE_SMOKE = {
+    "main": ("verify --suite main --rvec 1,1,0,0 --order 2 --points 2 --seed 1", "main-k"),
+    "signs": ("verify --suite signs --rvec 0,0,0,1 --order 2 --points 2 --seed 1", "sign-rule"),
+    "framing": ("verify --suite framing --rvec 0,0,0,2 --order 2 --framings 3 --seed 3", "framing-independence"),
+    "euler": ("verify --suite euler --r 1 --order 6", "euler-characteristics"),
+    "kappa": ("verify --suite kappa --order 6 --points 2 --seed 2", "kappa-identity"),
+}
+
+
+def test_every_suite_has_a_smoke_run():
+    assert list(SUITE_SMOKE) == list(cli.SUITES)
+
+
+@pytest.mark.parametrize("suite", SUITE_SMOKE)
+def test_verify_suite(suite):
+    argv, check = SUITE_SMOKE[suite]
+    result = run_cli(argv.split())
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["passed"] is True
-    assert doc["checks"][0]["name"] == "main-k"
+    assert [c["name"] for c in doc["checks"]] == [check]
 
 
-def test_verify_signs_suite():
-    result = run_cli(["verify", "--suite", "signs", "--rvec", "0,0,0,1", "--order", "2", "--points", "2", "--seed", "1"])
+# SHA-256 of `--help`, at a fixed width so that the host's COLUMNS cannot
+# rewrap it: `--suite`'s and `compute --mode`'s choices are read from tables.
+PINNED_HELP = {
+    "": "06a9db94ef99bc9a1d145a8743a36e6365ab5179a8d5e1f22d8ac2617c0f1c84",
+    "compute": "e3b565dcf27fe8359fd51a6d0a755f9e2ad007ac87aadd015276aadf4f6925d9",
+    "verify": "c60ead38c754d422d34791a0656fa91d5e745280b7118942a9c7c0e8edf50a0d",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_HELP, ids=lambda c: c or "tetrainst")
+def test_help_text_pinned(command):
+    argv = [command, "--help"] if command else ["--help"]
+    result = CliRunner().invoke(main, argv, env={}, prog_name="tetrainst", terminal_width=80)
     assert result.exit_code == 0
-    assert json.loads(result.output)["passed"] is True
-
-
-def test_verify_euler_suite():
-    result = run_cli(["verify", "--suite", "euler", "--r", "1", "--order", "6"])
-    assert result.exit_code == 0
-    doc = json.loads(result.output)
-    assert doc["passed"] is True
-
-
-def test_verify_kappa_suite():
-    result = run_cli(["verify", "--suite", "kappa", "--order", "6", "--points", "2", "--seed", "2"])
-    assert result.exit_code == 0
-
-
-def test_verify_framing_suite():
-    result = run_cli(["verify", "--suite", "framing", "--rvec", "0,0,0,2", "--order", "2", "--framings", "3", "--seed", "3"])
-    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == PINNED_HELP[command]
 
 
 def test_verify_writes_report(tmp_path):
@@ -257,6 +267,15 @@ def test_lanes_write_the_same_bytes(monkeypatch, argv):
         outputs.add(result.stdout_bytes)
         _no_child_left()
     assert len(outputs) == 1
+
+
+def test_suite_all_runs_every_row_once_in_order(monkeypatch):
+    for n in (1, 2):
+        _lanes(monkeypatch, n)
+        result = run_cli(["verify", "--suite", "all"])
+        assert result.exit_code == 0
+        assert [c["name"] for c in json.loads(result.output)["checks"]] == [check for _, check in SUITE_SMOKE.values()]
+        _no_child_left()
 
 
 @pytest.mark.parametrize("n, shares", [
