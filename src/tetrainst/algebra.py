@@ -4,6 +4,10 @@ Every value is an exact rational; no floating point is used anywhere.  Values
 come out as ``fractions.Fraction``, but the measures multiply each weight's
 value as an unreduced ``(numerator, denominator)`` pair of ints and reduce
 once per character (the theta measure once per coefficient of its series).
+That pair core, ``_product_pair``, is the one place a point is found
+degenerate; :func:`bracket_ratio` hands its unreduced pair to a caller that
+only asks whether two values are equal, which it decides by
+cross-multiplying, with no gcd.
 A weight is a Laurent monomial in the square roots of the equivariant
 parameters ``t1..t4`` (subject to ``t1*t2*t3*t4 == 1``) and of the framing
 parameters ``w_il``, that is a point of the torus' character lattice.
@@ -305,17 +309,19 @@ def _bracket_pair(m, p):
     return n * n - d * d, n * d
 
 
-def _product(V, p, weigh, what):
-    """``prod weigh(m, p) ** mult`` over the terms of a movable character;
-    the one place a measure is evaluated and a point found degenerate.
+def _product_pair(V, p, weigh, what):
+    """``prod weigh(m, p) ** mult`` over the terms of a movable character, as
+    an unreduced pair ``(num, den)`` of nonzero ints; the one place a measure
+    is evaluated and a point found degenerate.
 
     ``weigh`` gives a weight's value as an unreduced int pair ``(a, b)`` with
     ``b != 0``.  Each weight is weighed once per point and its pair kept in
     ``p.values``; the pairs are multiplied as ints, swapped for a negative
-    multiplicity, and reduced once.  A nonzero fixed part is reported before
-    any weight is weighed, and every factor is weighed before the result is
-    decided, so it does not depend on the order of the terms: a vanishing
-    factor, up or down, makes the point degenerate (:class:`PoleAtPointError`).
+    multiplicity, and never reduced here.  A nonzero fixed part is reported
+    before any weight is weighed, and every factor is weighed before the
+    result is decided, so it does not depend on the order of the terms: a
+    vanishing factor, up or down, makes the point degenerate
+    (:class:`PoleAtPointError`).
     """
     if 0 in V.terms:
         raise TrivialWeightError("character has a nonzero fixed part")
@@ -341,7 +347,21 @@ def _product(V, p, weigh, what):
     if not (num and den):
         m = next(m for m in V.terms if not values[m][0])
         raise PoleAtPointError(f"{what} factor {_weight_str(exponents(m))} vanishes")
-    return Fraction(num, den)
+    return num, den
+
+
+def _product(V, p, weigh, what):
+    """:func:`_product_pair` reduced once, to a ``Fraction``."""
+    return Fraction(*_product_pair(V, p, weigh, what))
+
+
+def bracket_ratio(V, p):
+    """The bracket of a movable character as the unreduced pair ``(num, den)``
+    of nonzero ints, for a caller that only compares values: ``a/b == c/d``
+    is ``a*d == c*b``, with no gcd.  ``Fraction(num, den)`` is
+    :func:`bracket_eval`, and the errors are the same.
+    """
+    return _product_pair(V, p, _bracket_pair, "bracket")
 
 
 def bracket_eval(V, p):

@@ -13,7 +13,8 @@ SIGTERM in this process kills and reaps every lane before the call ends.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid configuration,
 3 the point sampler was exhausted, 4 an internal invariant was violated or
-another unexpected error occurred, 130 interrupted.
+another unexpected error occurred, 130 interrupted.  Exit 4 writes the
+error's traceback to stderr, and only that path imports ``traceback``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import traceback
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 from functools import partial
@@ -87,6 +87,7 @@ def _exit_codes():
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_SAMPLER)
     except Exception:
+        import traceback  # a crash alone needs it, so not on the import path
         click.echo(traceback.format_exc(), err=True, nl=False)
         sys.exit(EXIT_INTERNAL)
 
@@ -155,7 +156,6 @@ def _run_checks(checks):
         shares[k if i // lanes % 2 == 0 else lanes - 1 - k].append(i)
     if lanes > 1:
         import signal  # it takes a millisecond to import, so only when forking
-
         on_term = signal.getsignal(signal.SIGTERM)
         if on_term is signal.SIG_DFL:
             signal.signal(signal.SIGTERM, _terminate)

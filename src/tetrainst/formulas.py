@@ -119,18 +119,33 @@ def check_kappa_identity(sqrt_xs, order):
         sum_i [x_i] / ([x_i^(1/2) q_i][x_i^(1/2) q_i^(-1)])
             = [X] / ([X^(1/2) q][X^(1/2) q^(-1)]),
 
-    where ``q_i = q * prod_j x_j^(sgn(i-j)/2)`` and ``X = prod_i x_i``.
+    where ``q_i = q * prod_j x_j^(sgn(i-j)/2)`` and ``X = prod_i x_i``.  The
+    coefficient of ``q^m`` is ``-sum_i (b_i^m - b_i^(-m)) c_i^m`` on the left,
+    with ``c_i = prod_j b_j^sgn(i-j)``, and ``-(B^m - B^(-m))`` on the right,
+    with ``B = prod_i b_i``.  Each ``b_j = p_j/q_j`` enters ``b_i^(+-1) c_i``
+    and ``B^(+-1)`` to a power ``e_j`` of -1, 0 or 1, so each of these times
+    ``D = prod_j p_j q_j`` is the int ``prod_j p_j^(1+e_j) q_j^(1-e_j)``, and
+    order ``m`` is one equality of ints, both sides times ``-D^m``.
     Returns True when the two expansions agree to the given order; a float
-    square root raises ``ValueError``.
+    square root or a negative order raises ``ValueError``.
     """
     bs = [rational(b) for b in sqrt_xs]
     if any(b <= 0 for b in bs):
         raise ValueError("square-root weights must be positive")
-    lhs = [Fraction(0)] * (order + 1)
-    for i, b in enumerate(bs):
-        c = prod((bj ** sgn(i - j) for j, bj in enumerate(bs)), start=Fraction(1))
-        for m in range(1, order + 1):
-            lhs[m] += -(b ** m - b ** (-m)) * c ** m
-    B = prod(bs, start=Fraction(1))
-    rhs = [Fraction(0)] + [-(B ** m - B ** (-m)) for m in range(1, order + 1)]
-    return QSeries(lhs) == QSeries(rhs)
+    if order < 0:
+        raise ValueError("a series needs at least its constant term")
+
+    def times_D(exps):
+        return prod(b.numerator ** (1 + e) * b.denominator ** (1 - e) for b, e in zip(bs, exps))
+
+    terms = []  # (D b_i c_i, D b_i^(-1) c_i)
+    for i in range(len(bs)):
+        c = [sgn(i - j) for j in range(len(bs))]
+        terms.append((
+            times_D([e + (j == i) for j, e in enumerate(c)]),
+            times_D([e - (j == i) for j, e in enumerate(c)]),
+        ))
+    top, bottom = times_D([1] * len(bs)), times_D([-1] * len(bs))  # D B, D B^(-1)
+    return all(
+        sum(u**m - d**m for u, d in terms) == top**m - bottom**m for m in range(1, order + 1)
+    )

@@ -22,6 +22,7 @@ from .algebra import (
     EvalPoint,
     PoleAtPointError,
     bracket_eval,
+    bracket_ratio,
     euler_eval,
     theta_eval,
 )
@@ -249,8 +250,18 @@ def check_sign_identity(config, p):
 
 def _identities_hold(identities, p):
     """Whether ``sign * [lhs] == [rhs]`` at ``p`` for every ``(sign, lhs, rhs)``
-    of ``identities``, checked in order up to the first that fails."""
-    return all(sign * bracket_eval(lhs, p) == bracket_eval(rhs, p) for sign, lhs, rhs in identities)
+    of ``identities``, checked in order up to the first that fails.
+
+    Each side is the unreduced pair of :func:`bracket_ratio`, so the
+    identity is the int equality ``sign * nl * dr == nr * dl``.  Both sides
+    are evaluated, lhs first, so a factor that vanishes on either side makes
+    the point degenerate."""
+    for sign, lhs, rhs in identities:
+        nl, dl = bracket_ratio(lhs, p)
+        nr, dr = bracket_ratio(rhs, p)
+        if sign * nl * dr != nr * dl:
+            return False
+    return True
 
 
 def _sign_identities(config, fp, v):

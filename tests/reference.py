@@ -12,7 +12,9 @@ or a predicate the package never needs at run time, so none of it is in
 * the virtual tangent through the ambient space and the obstruction bundle,
   against ``vertex.virtual_tangent``, and the vertex reassembled from its
   blocks, against ``vertex.vertex``;
-* the linear relation among the four rank-1 first coefficients;
+* the linear relation among the four rank-1 first coefficients, and both
+  sides of the weight identity expanded in ``Fraction``s, against the int
+  route of ``formulas.check_kappa_identity``;
 * the parent of a configuration, against ``Configuration.children``, the
   order-ideal test, and the order ideals of any dimension as stacks of
   ideals of the dimension below;
@@ -21,9 +23,10 @@ or a predicate the package never needs at run time, so none of it is in
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from tetrainst.algebra import Character, bracket_eval, eval_monomial, monomial, t_monomial
-from tetrainst.formulas import rank1_Z
+from tetrainst.formulas import rank1_Z, sgn
 from tetrainst.partitions import Configuration, PlanePartition
 from tetrainst.series import BadConstantTermError, QSeries
 from tetrainst.vertex import vertex_block
@@ -127,6 +130,21 @@ def rank1_relation_residual(p):
         coeff = eval_monomial(monomial(texp), p)
         total += coeff * rank1_Z(i, 1, p).coefficient(1)
     return total
+
+
+def kappa_identity_by_fractions(sqrt_xs, order, rule=sgn):
+    """Both sides of ``formulas.check_kappa_identity``'s weight identity as
+    q-series of ``Fraction``s, and whether they agree to ``order``; ``rule``
+    gives the exponent ``rule(i - j)`` of ``b_j`` in ``c_i``."""
+    bs = [Fraction(b) for b in sqrt_xs]
+    lhs = [Fraction(0)] * (order + 1)
+    for i, b in enumerate(bs):
+        c = prod((bj ** rule(i - j) for j, bj in enumerate(bs)), start=Fraction(1))
+        for m in range(1, order + 1):
+            lhs[m] += -(b ** m - b ** (-m)) * c ** m
+    B = prod(bs, start=Fraction(1))
+    rhs = [Fraction(0)] + [-(B ** m - B ** (-m)) for m in range(1, order + 1)]
+    return QSeries(lhs) == QSeries(rhs)
 
 
 # ---------------------------------------------------------------------------

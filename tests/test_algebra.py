@@ -17,6 +17,7 @@ from tetrainst.algebra import (
     TrivialWeightError,
     _root,
     bracket_eval,
+    bracket_ratio,
     eval_monomial,
     euler_eval,
     exponents,
@@ -445,6 +446,29 @@ def test_measures_ignore_term_order(terms, data):
         p = point()
         _outcome(measure, Character(dict(items)), p)
         assert _outcome(measure, Character(dict(shuffled)), p) == want
+
+
+def _reduced_ratio(V, p):
+    num, den = bracket_ratio(V, p)
+    assert type(num) is int and type(den) is int
+    return Fraction(num, den)
+
+
+@given(
+    st.dictionaries(st.sampled_from(_WEIGHT_POOL), st.sampled_from([-2, -1, 1, 2]), min_size=1),
+    st.data(),
+)
+def test_the_bracket_pair_reduces_to_the_bracket_in_any_term_order(terms, data):
+    # a fixed part, a half weight or a vanishing factor raises the same error
+    # from the pair as from the bracket, whatever the order of the terms
+    shuffled = Character(dict(data.draw(st.permutations(list(terms.items())))))
+    for point in (lambda: EvalPoint((3, 3, 5)), _generic_point):
+        want = _outcome(bracket_eval, Character(terms), point())
+        assert _outcome(_reduced_ratio, shuffled, point()) == want
+        # and from values the bracket filled in at the same point
+        p = point()
+        _outcome(bracket_eval, Character(terms), p)
+        assert _outcome(_reduced_ratio, shuffled, p) == want
 
 
 def _ref_bracket(m, p):

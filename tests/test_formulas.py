@@ -1,7 +1,11 @@
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
+
+from tetrainst import formulas
 
 from tetrainst.algebra import (
     Character,
@@ -21,12 +25,13 @@ from tetrainst.formulas import (
     factorized_Z,
     kappa_rbar,
     rank1_Z,
+    sgn,
 )
 from tetrainst.localization import sample_until
 from tetrainst.partitions import enumerate_configurations, rank_vector
 from tetrainst.series import QSeries
 
-from reference import rank1_relation_residual
+from reference import kappa_identity_by_fractions, rank1_relation_residual
 
 
 def kpoint(seed):
@@ -189,6 +194,40 @@ def test_kappa_identity_product_one():
     # total weight 1: the right side is identically zero, so the left side
     # must cancel order by order
     assert check_kappa_identity([Fraction(2), Fraction(1, 2)], 6)
+
+
+def test_kappa_identity_fails_without_the_exponent_rule(monkeypatch):
+    # reversing sgn is no mutant: it swaps which side of slot i each b_j is
+    # on, and the sum still telescopes
+    monkeypatch.setattr(formulas, "sgn", lambda x: -sgn(x))
+    assert check_kappa_identity([Fraction(2), Fraction(5, 3)], 6)
+    monkeypatch.setattr(formulas, "sgn", lambda x: 0)
+    assert not check_kappa_identity([Fraction(2), Fraction(5, 3)], 6)
+    assert not check_kappa_identity([Fraction(2), Fraction(3), Fraction(7, 5)], 6)
+
+
+# exponent rules for b_j in c_i: the true one, and rules under which the
+# identity holds (reversed) or fails
+_RULES = [sgn, lambda x: -sgn(x), lambda x: 0, lambda x: int(x > 0), lambda x: -int(x < 0)]
+
+
+@example([Fraction(2), Fraction(1, 2)], 6, 0)
+@example([Fraction(2), Fraction(5, 3)], 6, 2)
+@given(
+    st.lists(st.fractions(min_value=Fraction(1, 40), max_value=40, max_denominator=40), min_size=1, max_size=5),
+    st.integers(0, 8),
+    st.sampled_from(range(len(_RULES))),
+)
+def test_kappa_identity_agrees_with_the_fraction_expansion(bs, order, which):
+    rule = _RULES[which]
+    with mock.patch.object(formulas, "sgn", rule):
+        got = check_kappa_identity(bs, order)
+    assert got == kappa_identity_by_fractions(bs, order, rule)
+
+
+def test_kappa_identity_rejects_a_negative_order():
+    with pytest.raises(ValueError):
+        check_kappa_identity([Fraction(2)], -1)
 
 
 def test_kappa_identity_rejects_nonpositive():

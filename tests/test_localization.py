@@ -2,10 +2,18 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tetrainst import localization, partitions
-from tetrainst.algebra import CohPoint, EvalPoint, PoleAtPointError
+from tetrainst.algebra import (
+    Character,
+    CohPoint,
+    EvalPoint,
+    PoleAtPointError,
+    bracket_eval,
+    t_monomial,
+    w_monomial,
+)
 from tetrainst.formulas import closed_Z_K, closed_Z_coh
 from tetrainst.localization import (
     SamplerExhaustedError,
@@ -76,6 +84,17 @@ def test_a_vanishing_factor_makes_the_point_degenerate():
         p = EvalPoint((Fraction(3, 5), Fraction(5, 3), 7), (Fraction(2, 9), Fraction(11, 4)))
         with pytest.raises(PoleAtPointError):
             route((1, 1, 0, 0), 2, p)
+
+
+def test_a_vanishing_factor_makes_the_sign_rule_point_degenerate():
+    # the point above: each nonempty configuration's identities have a
+    # factor [t1 t2] or its inverse, and the point is not scored
+    p = EvalPoint((Fraction(3, 5), Fraction(5, 3), 7), (Fraction(2, 9), Fraction(11, 4)))
+    assert check_sign_identity(enumerate_configurations((1, 1, 0, 0), 0)[0], p)
+    for n in (1, 2):
+        for config in enumerate_configurations((1, 1, 0, 0), n):
+            with pytest.raises(PoleAtPointError):
+                check_sign_identity(config, p)
 
 
 def test_Z_loc_constant_term():
@@ -202,6 +221,65 @@ def test_sign_rule_pair_identities_are_not_trivial(rvec):
             assert len(pairs) == len(slots) * (len(slots) - 1) // 2
             nontrivial += sum(lhs != rhs for _, lhs, rhs in pairs)
     assert nontrivial > 0
+
+
+@pytest.mark.parametrize("name", ["configuration_sign", "sign_rho"])
+def test_the_sign_sweep_fails_with_a_flipped_sign(monkeypatch, name):
+    assert run_sign_sweep((1, 1, 0, 0), 2, 0, 2).passed
+    sign = getattr(localization, name)
+    monkeypatch.setattr(localization, name, lambda *args: not sign(*args))
+    assert not run_sign_sweep((1, 1, 0, 0), 2, 0, 2).passed
+
+
+def _fraction_verdict(identities, p):
+    """Whether ``sign * [lhs] == [rhs]`` for every identity, compared as
+    reduced ``Fraction``s, or the type of the error that decides it first."""
+    try:
+        return all(sign * bracket_eval(lhs, p) == bracket_eval(rhs, p) for sign, lhs, rhs in identities)
+    except PoleAtPointError as exc:
+        return type(exc)
+
+
+def _verdict(identities, p):
+    try:
+        return localization._identities_hold(identities, p)
+    except PoleAtPointError as exc:
+        return type(exc)
+
+
+_T12 = t_monomial(1) + t_monomial(2, -1)  # vanishes at a1 == a2
+_SIGN_POOL = [t_monomial(1), t_monomial(3), t_monomial(1) + t_monomial(3), _T12, -_T12,
+              w_monomial(0), t_monomial(2) - w_monomial(0)]
+_sign_chars = st.dictionaries(st.sampled_from(_SIGN_POOL), st.sampled_from([-2, -1, 1, 2]), max_size=3).map(Character)
+
+
+def _identity(sign, lhs, rhs, kind):
+    """``(sign, lhs, rhs)``, with ``rhs`` drawn apart or tied to ``lhs``: its
+    dual holds with the sign ``(-1)^rank``, itself with the sign 1."""
+    return sign, lhs, {"apart": rhs, "same": lhs, "dual": lhs.dual()}[kind]
+
+
+_identities = st.lists(
+    st.builds(_identity, st.sampled_from([1, -1]), _sign_chars, _sign_chars,
+              st.sampled_from(["apart", "same", "dual"])),
+    max_size=3,
+)
+
+
+# a factor that vanishes on both sides makes the point degenerate: an
+# lhs - rhs fold would cancel it
+@example([(1, Character.of(_T12), Character.of(_T12))], True)
+# the first identity fails, so the degenerate second is never evaluated
+@example([(-1, Character.of(t_monomial(1)), Character.of(t_monomial(1))),
+          (1, Character.of(_T12), Character.of(_T12))], True)
+@given(_identities, st.booleans())
+def test_cross_multiplied_verdict_is_the_fraction_verdict(identities, degenerate):
+    def point():
+        if degenerate:
+            return EvalPoint((3, 3, 5), (7,))
+        return EvalPoint((Fraction(2, 3), Fraction(5, 7), Fraction(11, 2)), (Fraction(3, 5),))
+
+    assert _verdict(identities, point()) == _fraction_verdict(identities, point())
 
 
 def test_rho_tilde_sweep():
