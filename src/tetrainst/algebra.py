@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 
-from .series import QSeries, exp_numerators, rational
+from .series import QSeries, check_order, exp_numerators, rational
 
 
 class TrivialWeightError(ValueError):
@@ -115,7 +115,8 @@ class Character:
     """A finite integer-multiplicity multiset of weights.
 
     Stored as ``{packed weight: nonzero multiplicity}``; sums cancel exactly.
-    No method changes a character in place, so characters may be shared.
+    A character is a hashable value: nothing changes it in place, so it may
+    be shared, and it compares and hashes by its terms, whatever their order.
     """
 
     __slots__ = ("terms",)
@@ -173,6 +174,9 @@ class Character:
 
     def __eq__(self, other):
         return isinstance(other, Character) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -350,11 +354,6 @@ def _product_pair(V, p, weigh, what):
     return num, den
 
 
-def _product(V, p, weigh, what):
-    """:func:`_product_pair` reduced once, to a ``Fraction``."""
-    return Fraction(*_product_pair(V, p, weigh, what))
-
-
 def bracket_ratio(V, p):
     """The bracket of a movable character as the unreduced pair ``(num, den)``
     of nonzero ints, for a caller that only compares values: ``a/b == c/d``
@@ -370,7 +369,7 @@ def bracket_eval(V, p):
     Raises :class:`TrivialWeightError` if ``V`` has a nonzero fixed part and
     :class:`PoleAtPointError` if any factor vanishes.
     """
-    return _product(V, p, _bracket_pair, "bracket")
+    return Fraction(*_product_pair(V, p, _bracket_pair, "bracket"))
 
 
 def _euler_pair(m, p):
@@ -386,7 +385,7 @@ def _euler_pair(m, p):
 
 def euler_eval(V, p):
     """Multiplicative extension of the Euler class to a movable character."""
-    return _product(V, p, _euler_pair, "Euler-class")
+    return Fraction(*_product_pair(V, p, _euler_pair, "Euler-class"))
 
 
 def theta_eval(V, p, order):
@@ -409,6 +408,7 @@ def theta_eval(V, p, order):
     The per-weight twelfth powers of p are accumulated exactly; they must
     resolve to an integer power of p (automatic for rank-0 characters).
     """
+    order = check_order(order)
     if 0 in V.terms:
         raise TrivialWeightError("character has a nonzero fixed part")
     twelfths = V.rank()
@@ -416,7 +416,7 @@ def theta_eval(V, p, order):
         raise FractionalPowerError(
             f"aggregate elliptic prefactor p^({twelfths}/12) is not an integer power"
         )
-    bracket = _product(V, p, _bracket_pair, "theta")
+    bracket = Fraction(*_product_pair(V, p, _bracket_pair, "theta"))
     bases = p.bases
     rows = [(_root_at(m, p), mult) for m, mult in V.terms.items()]
     E = [0] * len(bases)  # the largest |h_j| of the roots, so E_j / 2

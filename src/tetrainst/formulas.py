@@ -20,7 +20,7 @@ from math import prod
 
 from .algebra import Character, bracket_eval, euler_eval, eval_monomial, monomial, t_monomial
 from .partitions import rank_vector
-from .series import QSeries, macmahon_power, plethystic_exp, rational
+from .series import QSeries, check_order, macmahon_power, plethystic_exp, rational
 
 
 def sgn(x):
@@ -132,8 +132,7 @@ def check_kappa_identity(sqrt_xs, order):
     bs = [rational(b) for b in sqrt_xs]
     if any(b <= 0 for b in bs):
         raise ValueError("square-root weights must be positive")
-    if order < 0:
-        raise ValueError("a series needs at least its constant term")
+    check_order(order)
 
     def times_D(exps):
         return prod(b.numerator ** (1 + e) * b.denominator ** (1 - e) for b, e in zip(bs, exps))

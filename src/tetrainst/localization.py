@@ -38,7 +38,7 @@ from .partitions import (
     sign_rho,
     sign_rho_tilde,
 )
-from .series import QPSeries, QSeries, macmahon_power
+from .series import QPSeries, QSeries, check_order, macmahon_power
 from .vertex import PBAR, build_fixed_point, tilde_form, tilde_vertex, vertex, vertex_block
 
 SAMPLER_BOUND = 97
@@ -145,9 +145,10 @@ def sample_until(fn, seed, rvec, mode="k"):
 
 def _levels(rvec, order):
     """The nodes ``(configuration, fixed point, vertex)`` of each size up to
-    ``order``, one tuple per size; the rank vector is checked once here."""
+    ``order``, one tuple per size; the rank vector and the order are checked
+    once here."""
     rv = rank_vector(rvec)
-    return [_level(rv, n) for n in range(order + 1)]
+    return [_level(rv, n) for n in range(check_order(order) + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -313,12 +314,7 @@ def run_sign_sweep(rvec, max_size, seed, num_points=3):
     report = CheckReport("sign-rule", tuple(rvec), max_size, seed)
     nodes = [node for level in _levels(rvec, max_size) for node in level]
     # configurations that share a slot or a slot pair share its block identity
-    distinct = {}
-    for node in nodes:
-        for sign, lhs, rhs in _sign_identities(*node):
-            key = (sign, frozenset(lhs.terms.items()), frozenset(rhs.terms.items()))
-            distinct.setdefault(key, (sign, lhs, rhs))
-    identities = tuple(distinct.values())
+    identities = tuple(dict.fromkeys(idt for node in nodes for idt in _sign_identities(*node)))
     for idx in range(num_points):
         ok = report.sample(lambda point: _identities_hold(identities, point), seed + idx, "k")
         report.record(ok, point_index=idx, configurations=len(nodes))

@@ -13,6 +13,7 @@ checks :func:`macmahon_power` against them.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import factorial
 
@@ -26,6 +27,15 @@ def rational(x):
     if isinstance(x, float):
         raise ValueError(f"expected an exact rational, got the float {x!r}")
     return Fraction(x)
+
+
+def check_order(order):
+    """``order``, the highest power a truncated series keeps, as an int; a
+    negative order raises ``ValueError`` and a non-integer ``TypeError``."""
+    order = operator.index(order)
+    if order < 0:
+        raise ValueError("a series needs at least its constant term")
+    return order
 
 
 class QSeries:
@@ -50,7 +60,7 @@ class QSeries:
 
     @classmethod
     def constant(cls, c, order):
-        return cls((c,) + (0,) * order)
+        return cls((c,) + (0,) * check_order(order))
 
     def coefficient(self, n):
         return self.coeffs[n]
@@ -166,6 +176,7 @@ def macmahon_power(alpha, order):
     route is independent of the product form ``tests/reference.py::macmahon``
     that the tests compare it with.
     """
+    order = check_order(order)
     alpha = rational(alpha)
     a, b = alpha.numerator, alpha.denominator
     sigma2 = [0] * (order + 1)

@@ -227,6 +227,27 @@ def test_a_decoded_weight_is_checked_against_every_point():
         assert _root.cache_info().hits > hits
 
 
+def _reordered(data, V):
+    """``V`` rebuilt from a drawn permutation of its terms."""
+    return Character(dict(data.draw(st.permutations(list(V.terms.items())))))
+
+
+@given(_characters, st.data())
+def test_a_character_in_any_term_order_is_equal_and_hashes_equal(V, data):
+    W = _reordered(data, V)
+    assert W == V and hash(W) == hash(V)
+
+
+@given(st.lists(_characters, min_size=1, max_size=3), st.data())
+def test_characters_deduplicate_as_their_terms_do(pool, data):
+    chars = [_reordered(data, data.draw(st.sampled_from(pool))) for _ in range(data.draw(st.integers(0, 6)))]
+    by_terms = {}
+    for V in chars:
+        by_terms.setdefault(frozenset(V.terms.items()), V)
+    # the same characters, the first of each, in the same order
+    assert list(map(id, dict.fromkeys(chars))) == list(map(id, by_terms.values()))
+
+
 @given(_characters, _characters, _characters)
 def test_character_ring_axioms(U, V, W):
     assert (U * V) * W == U * (V * W)

@@ -158,13 +158,17 @@ def test_report_bytes_pinned(argv, digest):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
-def test_the_cli_imports_without_traceback():
-    # only a crash imports it (_exit_codes), so a fresh interpreter's import
-    # of the CLI, which every call pays, leaves it out
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import tetrainst.cli; print('traceback' in sys.modules)"
+def test_the_cli_imports_without_traceback_or_signal():
+    # only a crash imports traceback (_exit_codes) and only forking lanes
+    # imports signal (_run_checks), so a fresh interpreter's import of the
+    # CLI, which every call pays, adds neither to what click loads itself
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import click; before = set(sys.modules); "
+        "import tetrainst.cli; print(sorted({'traceback', 'signal'} & (set(sys.modules) - before)))"
+    )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     result = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60)
-    assert (result.returncode, result.stdout) == (0, "False\n")
+    assert (result.returncode, result.stdout) == (0, "[]\n")
 
 
 def test_unexpected_error_exits_internal(monkeypatch):

@@ -12,9 +12,10 @@ from tetrainst.algebra import (
     PoleAtPointError,
     bracket_eval,
     t_monomial,
+    theta_eval,
     w_monomial,
 )
-from tetrainst.formulas import closed_Z_K, closed_Z_coh
+from tetrainst.formulas import closed_Z_K, closed_Z_coh, factorized_Z
 from tetrainst.localization import (
     SamplerExhaustedError,
     Z_loc_K,
@@ -31,7 +32,7 @@ from tetrainst.localization import (
     verify_main,
 )
 from tetrainst.partitions import Configuration, PlanePartition, enumerate_configurations
-from tetrainst.series import QSeries
+from tetrainst.series import QSeries, macmahon_power
 from tetrainst.vertex import build_fixed_point, tilde_vertex, vertex_block
 
 from reference import is_order_ideal, macmahon, parent, power, truncate
@@ -155,6 +156,18 @@ def test_Z_loc_ell_framing_dependence_observed():
     assert a.p_slice(1) != b.p_slice(1)
 
 
+@pytest.mark.parametrize(("rvec", "q_order", "p_order", "seed"), [
+    *(((1, 1, 1, 1), 4, 3, seed) for seed in range(4)),
+    *(((2, 2, 2, 2), 3, 2, seed) for seed in range(2)),
+])
+def test_Z_loc_ell_vanishing_at_equal_ranks_observed(rvec, q_order, p_order, seed):
+    # at equal ranks closed_Z_K is 1, the paper's vanishing statement, and
+    # the elliptic series is exactly 1 as well: every coefficient but
+    # (q^0, p^0) cancels.  Observed at these points, not proved.
+    ell, _, _ = sample_until(lambda p: Z_loc_ell(rvec, q_order, p_order, p), seed, rvec)
+    assert ell.rows == (QSeries.one(p_order),) + (QSeries.zero(p_order),) * q_order
+
+
 _orders = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted)
 
 
@@ -229,6 +242,26 @@ def test_the_sign_sweep_fails_with_a_flipped_sign(monkeypatch, name):
     sign = getattr(localization, name)
     monkeypatch.setattr(localization, name, lambda *args: not sign(*args))
     assert not run_sign_sweep((1, 1, 0, 0), 2, 0, 2).passed
+
+
+@pytest.mark.parametrize(("rvec", "max_size", "distinct"), [
+    ((1, 1, 0, 0), 3, 75),
+    ((1, 1, 1, 0), 3, 164),
+    ((2, 0, 0, 1), 3, 154),
+    ((0, 0, 0, 1), 6, 191),
+    ((1, 1, 1, 1), 3, 289),
+])
+def test_the_sign_sweep_decides_each_distinct_identity_once(monkeypatch, rvec, max_size, distinct):
+    decided = []
+    hold = localization._identities_hold
+
+    def spy(identities, p):
+        decided.append(identities)
+        return hold(identities, p)
+
+    monkeypatch.setattr(localization, "_identities_hold", spy)
+    assert run_sign_sweep(rvec, max_size, 0, 1).passed
+    assert len(decided[0]) == len(set(decided[0])) == distinct
 
 
 def _fraction_verdict(identities, p):
@@ -491,3 +524,34 @@ def test_Z_loc_K_same_from_warm_and_cleared_caches():
     cold = Z_loc_K(rvec, 3, EvalPoint(sqrt_t3, sqrt_w))
     assert warm[0] == warm[1] == cold
     assert cold == closed_Z_K(rvec, 3, EvalPoint(sqrt_t3, sqrt_w))
+
+
+_ELL_POINT = EvalPoint((2, 3, 5), (7,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: QSeries.one(-1),
+    lambda: macmahon_power(1, -1),
+    lambda: closed_Z_K((1, 1, 1, 1), -1, sample_point(0, (1, 1, 1, 1))),
+    lambda: closed_Z_K((0, 0, 0, 1), -1, sample_point(0, (0, 0, 0, 1))),
+    lambda: closed_Z_coh((0, 0, 0, 1), -1, sample_point(0, (0, 0, 0, 1), "coh")),
+    lambda: factorized_Z((0, 0, 0, 1), -1, sample_point(0, (0, 0, 0, 1))),
+    lambda: Z_loc_K((0, 0, 0, 1), -1, sample_point(0, (0, 0, 0, 1))),
+    lambda: Z_loc_coh((0, 0, 0, 1), -1, sample_point(0, (0, 0, 0, 1), "coh")),
+    lambda: Z_loc_ell((0, 0, 0, 1), -1, 1, _ELL_POINT),
+    lambda: theta_eval(Character.of(t_monomial(1)) - Character.of(w_monomial(0)), _ELL_POINT, -1),
+    lambda: check_euler_characteristics(1, -1),
+    lambda: run_sign_sweep((0, 0, 0, 1), -1, 0, 1),
+    lambda: verify_main((0, 0, 0, 1), -1, 0, 1),
+    lambda: check_framing_independence((0, 0, 0, 1), -1, 0),
+    lambda: run_kappa_check(-1, 0),
+], ids=[
+    "QSeries.one", "macmahon_power", "closed_Z_K-equal-ranks", "closed_Z_K", "closed_Z_coh",
+    "factorized_Z", "Z_loc_K", "Z_loc_coh", "Z_loc_ell", "theta_eval", "check_euler_characteristics",
+    "run_sign_sweep", "verify_main", "check_framing_independence", "run_kappa_check",
+])
+def test_a_negative_order_raises(call):
+    # the CLI's IntRange(0) rejects a negative order before any of these
+    # runs; an API caller gets the same ValueError from each
+    with pytest.raises(ValueError, match="a series needs at least its constant term"):
+        call()
