@@ -67,6 +67,8 @@ def monomial(texp, wexp=()):
     fields, ``m = sum e_k * 2**(FIELD_BITS*k)``.  The packing is linear, so
     equal weights are equal ints and weights multiply by adding.
     """
+    if len(texp) != 4:
+        raise ValueError(f"texp needs 4 entries, got {len(texp)}")
     c = texp[3]
     m = 0
     for e in reversed((texp[0] - c, texp[1] - c, texp[2] - c, *wexp)):
@@ -100,6 +102,8 @@ def _weight_str(fields):
 
 def t_monomial(i, power=1):
     """The weight ``t_i**power``."""
+    if not 1 <= i <= 4:
+        raise ValueError("leg index must be 1..4")
     texp = [0, 0, 0, 0]
     texp[i - 1] = 2 * power
     return monomial(texp)
@@ -108,6 +112,8 @@ def t_monomial(i, power=1):
 def w_monomial(slot):
     """The framing weight ``w_slot``: the doubled exponent 2 in the field after
     t1, t2, t3 and the slots before it, since :func:`monomial` packs linearly."""
+    if slot < 0:
+        raise ValueError(f"a w-slot is numbered from 0, got {slot}")
     return 2 << (FIELD_BITS * (3 + slot))
 
 
@@ -195,22 +201,21 @@ class EvalPoint:
     form of the Calabi-Yau relation) and one positive rational per w-slot.
     ``bases`` keeps the integer ``(numerator, denominator)`` pair of each
     square-root base that a weight's fields refer to: t1, t2, t3, then each
-    w-slot.  ``values`` holds each weight's bracket at this point as an
-    unreduced int pair, filled lazily, so a weight decoded once per process
-    is weighed once per point.  A derived point is built afresh, with its own
-    bases and an empty ``values``.
+    w-slot; all are checked nonzero at once, before ``a4`` divides by them.
+    ``values`` holds each weight's bracket at this point as an unreduced int
+    pair, filled lazily, so a weight decoded once per process is weighed once
+    per point.  A derived point is built afresh, with its own bases and an
+    empty ``values``.
     """
 
     def __init__(self, sqrt_t3, sqrt_w=()):
         a1, a2, a3 = map(rational, sqrt_t3)
-        if a1 * a2 * a3 == 0:
-            raise ValueError("square-root bases must be nonzero")
-        a4 = 1 / (a1 * a2 * a3)
-        self.sqrt_t = (a1, a2, a3, a4)
         self.sqrt_w = tuple(map(rational, sqrt_w))
-        if any(b == 0 for b in self.sqrt_w):
+        roots = (a1, a2, a3, *self.sqrt_w)
+        if 0 in roots:
             raise ValueError("square-root bases must be nonzero")
-        self.bases = tuple((b.numerator, b.denominator) for b in (a1, a2, a3, *self.sqrt_w))
+        self.sqrt_t = (a1, a2, a3, 1 / (a1 * a2 * a3))
+        self.bases = tuple((b.numerator, b.denominator) for b in roots)
         self.values = {}
 
     def with_sqrt_w(self, sqrt_w):

@@ -300,7 +300,7 @@ def check_rho_tilde_vanishes(max_size):
     ``embed_to_solid(pp, i)`` puts 0 in coordinate ``i``, and
     ``sign_rho_tilde(·, i)`` counts boxes whose other three coordinates are
     equal and strictly less than it, so ``a == b == c < 0`` never holds."""
-    for n in range(max_size + 1):
+    for n in range(check_order(max_size) + 1):
         for pp in enumerate_plane_partitions(n):
             for i in range(1, 5):
                 if sign_rho_tilde(embed_to_solid(pp, i), i) != 0:
@@ -311,6 +311,8 @@ def check_rho_tilde_vanishes(max_size):
 def run_sign_sweep(rvec, max_size, seed, num_points=3):
     """The identities of :func:`check_sign_identity` for every configuration
     up to a size at several points, each distinct one once per point."""
+    if num_points < 1:
+        raise ValueError("need at least 1 point")
     report = CheckReport("sign-rule", tuple(rvec), max_size, seed)
     nodes = [node for level in _levels(rvec, max_size) for node in level]
     # configurations that share a slot or a slot pair share its block identity
@@ -330,6 +332,8 @@ def verify_main(rvec, order, seed, num_points=5, mode="k"):
     """Localization vs closed formulas at sampled points, exact equality."""
     if mode not in ("k", "coh"):
         raise ValueError(f"verify_main supports modes k and coh, not {mode!r}")
+    if num_points < 1:
+        raise ValueError("need at least 1 point")
     report = CheckReport(f"main-{mode}", tuple(rvec), order, seed)
     series_at = MODES[mode]
     for idx in range(num_points):
@@ -380,6 +384,8 @@ def run_kappa_check(order, seed, num_samples=3):
     """The standalone weight identity at ``num_samples`` random positive
     square-root weights for each rank of ``KAPPA_RANKS``, recorded as exact
     values."""
+    if num_samples < 1:
+        raise ValueError("need at least 1 sample")
     report = CheckReport("kappa-identity", None, order, seed)
     rng = random.Random(seed)
     for r in KAPPA_RANKS:

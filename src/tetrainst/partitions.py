@@ -6,14 +6,16 @@ by one rule: each configuration of size n + 1 is one of the children
 the configurations of a size grow from those of the size below, starting
 from the empty one.  The plane partitions of size n are the configurations
 of rank vector ``(0, 0, 0, 1)``.  The configurations per rank vector and size
-are memoized for the life of the process.
+are memoized for the life of the process.  A size is the order of the series
+it feeds, so it is checked as one, by :func:`~tetrainst.series.check_order`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
+
+from .series import check_order
 
 
 @dataclass(frozen=True)
@@ -144,20 +146,11 @@ class Configuration:
         return out
 
 
-def _size(n):
-    """``n`` as an int, checked before any growth: ``TypeError`` if it is not
-    an integer, ``ValueError`` if it is negative."""
-    n = index(n)
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    return n
-
-
 def enumerate_configurations(rvec, n):
     """All configurations with the given rank vector and total size ``n``, as
     a tuple built once per ``(rvec, n)`` for the life of the process: the
     children (:meth:`Configuration.children`) of those of size ``n - 1``."""
-    return _configurations(rank_vector(rvec), _size(n))
+    return _configurations(rank_vector(rvec), check_order(n))
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +164,7 @@ def _configurations(rvec, n):
 def enumerate_plane_partitions(n):
     """All plane partitions of size exactly ``n``, sorted by their boxes: the
     one slot of each configuration of rank vector ``(0, 0, 0, 1)``."""
-    pps = [config.legs[3][0] for config in _configurations((0, 0, 0, 1), _size(n))]
+    pps = [config.legs[3][0] for config in _configurations((0, 0, 0, 1), check_order(n))]
     pps.sort(key=lambda p: p.boxes)
     return tuple(pps)
 

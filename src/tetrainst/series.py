@@ -31,7 +31,8 @@ def rational(x):
 
 def check_order(order):
     """``order``, the highest power a truncated series keeps, as an int; a
-    negative order raises ``ValueError`` and a non-integer ``TypeError``."""
+    negative order raises ``ValueError`` and a non-integer ``TypeError``.
+    Sizes are checked here too: a configuration of size n feeds the q^n term."""
     order = operator.index(order)
     if order < 0:
         raise ValueError("a series needs at least its constant term")

@@ -51,6 +51,26 @@ def test_w_monomial_is_the_packed_framing_weight():
         assert exponents(w_monomial(slot)) == (0, 0, 0) + (0,) * slot + (2,)
 
 
+def test_weight_constructors_reject_what_they_cannot_pack():
+    # each of these once aliased another weight (t_monomial(0) was t4,
+    # w_monomial(-1) was t3), dropped an entry or raised IndexError
+    for i in (0, -1, 5):
+        with pytest.raises(ValueError, match="leg index"):
+            t_monomial(i)
+    with pytest.raises(ValueError, match="w-slot"):
+        w_monomial(-1)
+    for texp in ((2, 0, 0), (2, 0, 0, 0, 7), ()):
+        with pytest.raises(ValueError, match="4 entries"):
+            monomial(texp)
+    # valid input packs to the same ints as before
+    f = FIELD_BITS
+    assert [t_monomial(i) for i in range(1, 5)] == [2, 2 << f, 2 << 2 * f, -2 - (2 << f) - (2 << 2 * f)]
+    assert (t_monomial(2, -1), t_monomial(4, 3)) == (-(2 << f), -6 - (6 << f) - (6 << 2 * f))
+    assert [w_monomial(s) for s in (0, 1, 5)] == [2 << 3 * f, 2 << 4 * f, 2 << 8 * f]
+    assert monomial((2, 0, 0, 0)) == 2
+    assert monomial((1, -1, 3, 1), (0, -2, 5)) == (-2 << f) + (2 << 2 * f) + (-2 << 4 * f) + (5 << 5 * f)
+
+
 def test_canonical_idempotent_and_multiplicative():
     rng = random.Random(1)
     for _ in range(50):
@@ -369,6 +389,17 @@ def test_points_reject_floats():
             build()
     # exact rationals given as strings stay exact
     assert EvalPoint(("1/10", 2, 3)).sqrt_t[0] == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("sqrt_t3, sqrt_w", [
+    ((0, 3, 5), (7,)),
+    ((2, 3, Fraction(0)), (7,)),
+    ((2, 3, 5), (7, 0)),
+], ids=["t1", "t3", "w-slot"])
+def test_a_zero_square_root_base_raises(sqrt_t3, sqrt_w):
+    # one check over all bases, before a4 = 1 / (a1 a2 a3) is taken
+    with pytest.raises(ValueError, match="^square-root bases must be nonzero$"):
+        EvalPoint(sqrt_t3, sqrt_w)
 
 
 def test_bracket_basics():

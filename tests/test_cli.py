@@ -158,6 +158,18 @@ def test_report_bytes_pinned(argv, digest):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
+def test_the_module_entry_point_writes_the_pinned_report():
+    # `python -m tetrainst.cli` runs cli.py's __main__ block, which the
+    # CliRunner tests above never reach, to a normal exit
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = "verify --suite euler --r 1 --order 2"
+    result = subprocess.run([sys.executable, "-m", "tetrainst.cli", *argv.split()], env=env,
+                            capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert hashlib.sha256(result.stdout).hexdigest() == dict(PINNED_REPORTS)[argv]
+
+
 def test_the_cli_imports_without_traceback_or_signal():
     # only a crash imports traceback (_exit_codes) and only forking lanes
     # imports signal (_run_checks), so a fresh interpreter's import of the

@@ -31,7 +31,12 @@ from tetrainst.localization import (
     sample_until,
     verify_main,
 )
-from tetrainst.partitions import Configuration, PlanePartition, enumerate_configurations
+from tetrainst.partitions import (
+    Configuration,
+    PlanePartition,
+    enumerate_configurations,
+    enumerate_plane_partitions,
+)
 from tetrainst.series import QSeries, macmahon_power
 from tetrainst.vertex import build_fixed_point, tilde_vertex, vertex_block
 
@@ -545,13 +550,36 @@ _ELL_POINT = EvalPoint((2, 3, 5), (7,))
     lambda: verify_main((0, 0, 0, 1), -1, 0, 1),
     lambda: check_framing_independence((0, 0, 0, 1), -1, 0),
     lambda: run_kappa_check(-1, 0),
+    lambda: enumerate_configurations((0, 0, 0, 1), -1),
+    lambda: enumerate_plane_partitions(-1),
+    lambda: check_rho_tilde_vanishes(-1),
 ], ids=[
     "QSeries.one", "macmahon_power", "closed_Z_K-equal-ranks", "closed_Z_K", "closed_Z_coh",
     "factorized_Z", "Z_loc_K", "Z_loc_coh", "Z_loc_ell", "theta_eval", "check_euler_characteristics",
     "run_sign_sweep", "verify_main", "check_framing_independence", "run_kappa_check",
+    "enumerate_configurations", "enumerate_plane_partitions", "check_rho_tilde_vanishes",
 ])
 def test_a_negative_order_raises(call):
     # the CLI's IntRange(0) rejects a negative order before any of these
-    # runs; an API caller gets the same ValueError from each
+    # runs; an API caller gets the same ValueError from each, and a size is
+    # an order: a configuration of size n feeds the q^n term
     with pytest.raises(ValueError, match="a series needs at least its constant term"):
         call()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("call, message", [
+    (lambda n: verify_main((0, 0, 0, 1), 2, 0, n), "need at least 1 point"),
+    (lambda n: run_sign_sweep((0, 0, 0, 1), 2, 0, n), "need at least 1 point"),
+    (lambda n: run_kappa_check(6, 0, n), "need at least 1 sample"),
+], ids=["verify_main", "run_sign_sweep", "run_kappa_check"])
+def test_a_check_with_no_points_raises(monkeypatch, call, message, n):
+    # with nothing checked a report would read passed; as with fewer than 2
+    # framings in check_framing_independence, the call fails before any work
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    for name in ("_levels", "sample_until", "check_kappa_identity"):
+        monkeypatch.setattr(localization, name, no_work)
+    with pytest.raises(ValueError, match=message):
+        call(n)
