@@ -3,7 +3,8 @@
 Every value is an exact rational; no floating point is used anywhere.  Values
 come out as ``fractions.Fraction``, but the measures multiply each weight's
 value as an unreduced ``(numerator, denominator)`` pair of ints and reduce
-once per character (the theta measure once per coefficient of its series).
+once per character; :func:`theta_sums` reduces each character's bracket
+once, then once per coefficient of each group's sum, not of each character.
 That pair core, ``_product_pair``, is the one place a point is found
 degenerate; :func:`bracket_ratio` hands its unreduced pair to a caller that
 only asks whether two values are equal, which it decides by
@@ -27,7 +28,9 @@ torus representation).  The three localization measures act on characters:
 * ``bracket_eval``  -- the K-theoretic measure ``[x] = x^(1/2) - x^(-1/2)``,
 * ``euler_eval``    -- its cohomological linearization ``mu . s``,
 * ``theta_eval``    -- the elliptic refinement built from the Jacobi theta
-  function, returned as a truncated series in the elliptic parameter.
+  function, returned as a truncated series in the elliptic parameter; it is
+  the one-character case of ``theta_sums``, which sums the measures of many
+  characters per group over one graded denominator for the whole call.
 """
 
 from __future__ import annotations
@@ -394,60 +397,104 @@ def euler_eval(V, p):
 
 
 def theta_eval(V, p, order):
-    """Elliptic measure of a movable character, truncated at ``order`` in p.
+    """Elliptic measure of a movable character, truncated at ``order`` in p:
+    the one group of :func:`theta_sums`, with the same errors."""
+    return theta_sums([[V]], p, order)[0]
 
-    Per weight, ``theta(y) = [y] * Exp(-(y + 1/y) p/(1-p))``, so the measure is
-    the bracket of ``V`` times ``exp(-sum_M p^M sum_{k|M} S_k/k)``, where
+
+def theta_sums(groups, p, order):
+    """The elliptic measures of the movable characters of each group, summed
+    per group and truncated at ``order`` in p: one ``QSeries`` per group.
+
+    Per weight, ``theta(y) = [y] * Exp(-(y + 1/y) p/(1-p))``, so the measure
+    of ``V`` is its bracket times ``exp(-sum_M p^M sum_{k|M} S_k/k)``, where
     ``S_k = sum mult * (y^k + y^-k)`` is ``V + V^dual`` at its k-th Adams
-    power.  Everything after the bracket is in ints over one graded
-    denominator.  Over the point's bases ``a_j/b_j``, with ``E_j`` the largest
-    ``|e_j|`` of V's weights' fields, ``D = prod_j (a_j b_j)^E_j``: a weight
-    of value ``n/d`` has ``s = D / (n d)`` an int and ``y^k + y^-k =
-    ((n^2 s)^k + (d^2 s)^k) / D^k``, so ``S_k = N_k / D^k`` with ints ``N_k``.
-    The log's numerators over ``M D^M`` are then the ints
-    ``-sum_{k|M} (M/k) N_k D^(M-k)``, and :func:`exp_numerators` turns them
-    into the ``G_n`` of coefficient ``n``, ``bracket * G_n / (n! D^n)``.
-    ``E_j`` and each ``n/d`` come from the weights' cached roots
-    (:func:`_root`), doubled and squared.
-    The bracket comes first: a vanishing factor makes the point degenerate.
-    The per-weight twelfth powers of p are accumulated exactly; they must
-    resolve to an integer power of p (automatic for rank-0 characters).
+    power.  Everything after the brackets is in ints over one graded
+    denominator for the whole call.  Over the point's bases ``a_j/b_j``, with
+    ``E_j`` the largest ``|e_j|`` of the fields of every weight of every
+    group, ``D = prod_j (a_j b_j)^E_j``: a weight of value ``n/d`` has
+    ``s = D / (n d)`` an int and ``y^k + y^-k = ((n^2 s)^k + (d^2 s)^k) / D^k``.
+    These Adams numerators are computed once per distinct weight, from the
+    root pair of the weight's cached root (:func:`_root`) that also gives its
+    bracket's entry in ``p.values``.  A character's ``S_k`` is then
+    ``N_k / D^k`` with ints ``N_k``, its log's numerators over ``M D^M`` are
+    the ints ``-sum_{k|M} (M/k) N_k D^(M-k)``, and :func:`exp_numerators`
+    turns them into the ``G_n`` of its coefficient ``n``,
+    ``bracket * G_n / (n! D^n)``.  A group sums ``bracket * G_n`` over its
+    characters as ints, times ``L``, the lcm of their reduced brackets'
+    denominators, and divides by ``L n! D^n`` once per coefficient.
+    Each character's per-weight twelfth powers of p are accumulated exactly;
+    they must resolve to an integer power of p (automatic at rank 0).
+    Errors come in this order, each over the characters in group order: a
+    nonzero fixed part (:class:`TrivialWeightError`), twelfths that are not
+    an integer power (:class:`FractionalPowerError`), a weight with no root
+    at the point, then a vanishing bracket factor, which makes the point
+    degenerate (:class:`PoleAtPointError`).
     """
     order = check_order(order)
-    if 0 in V.terms:
-        raise TrivialWeightError("character has a nonzero fixed part")
-    twelfths = V.rank()
-    if twelfths % 12:
-        raise FractionalPowerError(
-            f"aggregate elliptic prefactor p^({twelfths}/12) is not an integer power"
-        )
-    bracket = Fraction(*_product_pair(V, p, _bracket_pair, "theta"))
+    chars = [V for group in groups for V in group]
+    for V in chars:
+        if 0 in V.terms:
+            raise TrivialWeightError("character has a nonzero fixed part")
+    for V in chars:
+        twelfths = V.rank()
+        if twelfths % 12:
+            raise FractionalPowerError(
+                f"aggregate elliptic prefactor p^({twelfths}/12) is not an integer power"
+            )
     bases = p.bases
-    rows = [(_root_at(m, p), mult) for m, mult in V.terms.items()]
+    roots = {}  # weight -> its root and the root's value n/d as the pair (n, d)
+    for V in chars:
+        for m in V.terms:
+            if m not in roots:
+                row = _root_at(m, p)
+                roots[m] = row, _root_pair(row, bases)
+
+    def weigh(m, p):  # _bracket_pair, from the root pair already taken
+        n, d = roots[m][1]
+        return n * n - d * d, n * d
+
+    brackets = {V: Fraction(*_product_pair(V, p, weigh, "theta")) for V in chars}
     E = [0] * len(bases)  # the largest |h_j| of the roots, so E_j / 2
-    for row, _ in rows:
+    for row, _ in roots.values():
         for i in range(1, len(row), 2):
             k, h = row[i], abs(row[i + 1])
             if h > E[k]:
                 E[k] = h
     D = prod((a * b) ** (2 * top) for (a, b), top in zip(bases, E))
-    N = [0] * (order + 1)
-    for row, mult in rows:
-        n, d = _root_pair(row, bases)
+    adams = {}  # weight -> (n^2 s)^k + (d^2 s)^k for k = 1..order
+    for m, (_, (n, d)) in roots.items():
         n, d = n * n, d * d
         s = D // (n * d)
         n2s, d2s = n * n * s, d * d * s
-        up = down = mult  # mult * (n^2 s)^k and mult * (d^2 s)^k
-        for k in range(1, order + 1):
+        up = down = 1
+        column = adams[m] = []
+        for _ in range(order):
             up *= n2s
             down *= d2s
-            N[k] += up + down
+            column.append(up + down)
     Dpow = [D**k for k in range(order + 1)]
-    lam = [0] + [
-        -sum((M // k) * N[k] * Dpow[M - k] for k in range(1, M + 1) if M % k == 0)
-        for M in range(1, order + 1)
-    ]
-    b_num, b_den = bracket.numerator, bracket.denominator
-    G = exp_numerators(lam)
-    val = QSeries([Fraction(b_num * g, b_den * factorial(n) * Dpow[n]) for n, g in enumerate(G)])
-    return val.shift(twelfths // 12)
+    sums = []
+    for group in groups:
+        L = lcm(*(brackets[V].denominator for V in group))
+        acc = {}  # power of p -> [L * sum of bracket * G_n over the group's characters]
+        for V in group:
+            N = [0] * (order + 1)
+            for m, mult in V.terms.items():
+                for k, a in enumerate(adams[m], 1):
+                    N[k] += mult * a
+            lam = [0] + [
+                -sum((M // k) * N[k] * Dpow[M - k] for k in range(1, M + 1) if M % k == 0)
+                for M in range(1, order + 1)
+            ]
+            bracket = brackets[V]
+            b = bracket.numerator * (L // bracket.denominator)
+            total = acc.setdefault(V.rank() // 12, [0] * (order + 1))
+            for n, g in enumerate(exp_numerators(lam)):
+                total[n] += b * g
+        val = QSeries.zero(order)
+        for shift, total in acc.items():
+            coeffs = [Fraction(c, L * factorial(n) * Dpow[n]) for n, c in enumerate(total)]
+            val = val + QSeries(coeffs).shift(shift)
+        sums.append(val)
+    return sums

@@ -24,7 +24,7 @@ from .algebra import (
     bracket_eval,
     bracket_ratio,
     euler_eval,
-    theta_eval,
+    theta_sums,
 )
 from .formulas import check_kappa_identity, closed_Z_K, closed_Z_coh, factorized_Z
 from .partitions import (
@@ -168,13 +168,12 @@ def _level(rvec, n):
     return tuple(nodes)
 
 
-def _localization_sum(rvec, order, measure, zero):
+def _localization_sum(rvec, order, measure):
     """Coefficients up to ``order``: ``measure`` of minus the vertex, given
-    the vertex, summed over the configurations of each size, starting from
-    ``zero``."""
+    the vertex, summed over the configurations of each size."""
     coeffs = []
     for level in _levels(rvec, order):
-        total = zero
+        total = Fraction(0)
         for _, _, v in level:
             total = total + measure(v)
         coeffs.append(total)
@@ -187,20 +186,21 @@ def Z_loc_K(rvec, order, p):
     The bracket is multiplicative, so that of minus the vertex is the
     reciprocal of the vertex's, exactly, and vanishes at the same factors.
     """
-    return QSeries(_localization_sum(rvec, order, lambda v: 1 / bracket_eval(v, p), Fraction(0)))
+    return QSeries(_localization_sum(rvec, order, lambda v: 1 / bracket_eval(v, p)))
 
 
 def Z_loc_coh(rvec, order, p):
     """Cohomological localization series (Euler-class measure), each term the
     reciprocal of the vertex's Euler class, as in :func:`Z_loc_K`."""
-    return QSeries(_localization_sum(rvec, order, lambda v: 1 / euler_eval(v, p), Fraction(0)))
+    return QSeries(_localization_sum(rvec, order, lambda v: 1 / euler_eval(v, p)))
 
 
 def Z_loc_ell(rvec, q_order, p_order, p):
-    """Elliptic localization series, bigraded in q and the elliptic parameter."""
-    return QPSeries(
-        _localization_sum(rvec, q_order, lambda v: theta_eval(-v, p, p_order), QSeries.zero(p_order))
-    )
+    """Elliptic localization series, bigraded in q and the elliptic parameter:
+    the theta measures of minus the vertices, summed per size in one
+    :func:`theta_sums` call over every size."""
+    levels = _levels(rvec, q_order)
+    return QPSeries(theta_sums([[-v for _, _, v in level] for level in levels], p, p_order))
 
 
 # ---------------------------------------------------------------------------

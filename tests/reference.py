@@ -5,7 +5,7 @@ or a predicate the package never needs at run time, so none of it is in
 ``src/tetrainst``:
 
 * the theta measure of one weight as a product of theta factors, against
-  the plethystic form of ``algebra.theta_eval``;
+  the plethystic form of ``algebra.theta_sums``, through ``theta_eval``;
 * the MacMahon series as a product, and the log of a series, against the
   sigma_2 route of ``series.macmahon_power``; ``binomial``, ``invert`` and
   ``power`` serve these two products;

@@ -24,9 +24,10 @@ from tetrainst.algebra import (
     monomial,
     t_monomial,
     theta_eval,
+    theta_sums,
     w_monomial,
 )
-from tetrainst.localization import sample_point
+from tetrainst.localization import Z_loc_ell, sample_point
 from tetrainst.partitions import enumerate_configurations
 from tetrainst.series import QSeries
 from tetrainst.vertex import build_fixed_point, char_P, vertex
@@ -727,17 +728,43 @@ def test_theta_matches_the_product_route_at_negative_bases():
             assert theta_eval(V, p, 6) == _theta_by_products(V, p, 6)
 
 
+def _minus_vertices(rvec, n):
+    """Minus the vertex of each configuration of size ``n``, built directly."""
+    return [-vertex(build_fixed_point(c)) for c in enumerate_configurations(rvec, n)]
+
+
 def test_theta_needs_no_series_product_and_no_fraction_exp(monkeypatch):
     p = _THETA_POINTS[0]
-    chars = [-vertex(build_fixed_point(c)) for c in enumerate_configurations((1, 0, 0, 1), 2)]
-    want = [_theta_by_products(V, p, 4) for V in chars]
+    levels = [_minus_vertices((1, 0, 0, 1), n) for n in range(3)]
+    want = [_theta_by_products(V, p, 4) for V in levels[2]]
+    rows = [reduce(add, (_theta_by_products(V, p, 4) for V in level)) for level in levels]
 
     def forbidden(*args):
         raise AssertionError("theta_eval must stay in ints until its coefficients")
 
     monkeypatch.setattr(QSeries, "__mul__", forbidden)
     monkeypatch.setattr(QSeries, "exp", forbidden)
-    assert [theta_eval(V, p, 4) for V in chars] == want
+    assert [theta_eval(V, p, 4) for V in levels[2]] == want
+    assert list(Z_loc_ell((1, 0, 0, 1), 2, 4, p).rows) == rows
+
+
+# the vertex of size n reaches the doubled exponent 2n in each t-field, so
+# every level widens the exponent table past the levels below it, and a
+# denominator taken from fewer weights than the call's is not a multiple of
+# every weight's n*d
+@pytest.mark.parametrize("rvec, q_order, p_order", [
+    ((1, 0, 0, 1), 3, 6),
+    ((1, 1, 0, 0), 2, 4),
+    ((0, 0, 0, 1), 5, 4),
+])
+@pytest.mark.parametrize("which", range(len(_THETA_POINTS)))
+def test_Z_loc_ell_is_the_sum_of_each_levels_theta_evals(rvec, q_order, p_order, which):
+    p = _THETA_POINTS[which]
+    rows = [
+        reduce(add, (theta_eval(V, p, p_order) for V in _minus_vertices(rvec, n)))
+        for n in range(q_order + 1)
+    ]
+    assert list(Z_loc_ell(rvec, q_order, p_order, p).rows) == rows
 
 
 # weights in two of the point's three w-slots; a doubled exponent that is odd
@@ -750,6 +777,13 @@ _theta_weights = st.builds(
 ).filter(bool)
 
 
+def _anchored(terms, rank):
+    """The character of ``terms`` with the anchor weight added to bring its
+    rank to ``rank``, 0 or 12, so that p^(rank/12) is an integer power."""
+    anchor = t_monomial(1) + w_monomial(1)
+    return Character.sum([Character(terms), Character.of(anchor, rank - Character(terms).rank())])
+
+
 @example({t_monomial(1) + t_monomial(2, -1): -2}, 12, 3, 0)
 @example({monomial((1, 0, 0, 0)): 1, t_monomial(3): -1}, 0, 2, 0)
 @example({t_monomial(1) + w_monomial(0): 2, t_monomial(2) + t_monomial(3, -1) - w_monomial(1): -3}, 12, 6, 1)
@@ -760,14 +794,44 @@ _theta_weights = st.builds(
     st.sampled_from(range(len(_THETA_POINTS))),
 )
 def test_theta_matches_the_product_route_on_any_character(terms, rank, order, which):
-    # the anchor weight brings the rank to 0 or 12, so p^(rank/12) is an integer power
-    anchor = t_monomial(1) + w_monomial(1)
-    V = Character.sum([Character(terms), Character.of(anchor, rank - Character(terms).rank())])
+    V = _anchored(terms, rank)
     assert V.rank() == rank
     p = _THETA_POINTS[which]
     got = _outcome(lambda V, p: theta_eval(V, p, order), V, p)
     assert got == _outcome(lambda V, p: _theta_by_products(V, p, order), V, p)
     assert isinstance(got, QSeries) or got is FractionalPowerError
+
+
+_theta_characters = st.builds(
+    _anchored,
+    st.dictionaries(_theta_weights, st.sampled_from([-3, -2, -1, 1, 2]), max_size=4),
+    st.sampled_from([0, 12]),
+)
+# a1 = a2 makes the bracket of t1/t2 and of its powers vanish, so poles
+# come up as well as half-integer weights
+_GROUP_POINTS = [*_THETA_POINTS, EvalPoint((3, 3, 5), (7, Fraction(2, 11)))]
+# the order in which theta_sums reports the errors of its characters
+_THETA_ERRORS = [TrivialWeightError, FractionalPowerError, PoleAtPointError]
+
+
+@example([[Character({t_monomial(1) + t_monomial(2, -1): 1, t_monomial(3): -1})],
+          [Character({monomial((1, 0, 0, 0)): 1, t_monomial(3): -1})]], 2, 2)
+@example([[], [Character(), Character.of(t_monomial(1), 12)]], 3, 0)
+@given(
+    st.lists(st.lists(_theta_characters, max_size=3), max_size=3),
+    st.integers(0, 4),
+    st.sampled_from(range(len(_GROUP_POINTS))),
+)
+def test_theta_sums_is_the_sum_of_each_groups_theta_evals(groups, order, which):
+    p = _GROUP_POINTS[which]
+    each = [[_outcome(lambda V, p: theta_eval(V, p, order), V, p) for V in g] for g in groups]
+    errors = [out for g in each for out in g if not isinstance(out, QSeries)]
+    if errors:
+        want = min(errors, key=_THETA_ERRORS.index)
+    else:
+        want = [reduce(add, g, QSeries.zero(order)) for g in each]
+    got = _outcome(lambda groups, p: theta_sums(groups, p, order), groups, p)
+    assert got == want
 
 
 def test_theta_zero_and_pole_in_either_term_order():
