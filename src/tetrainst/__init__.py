@@ -19,7 +19,7 @@ from .algebra import (
     monomial,
     theta_eval,
 )
-from .formulas import closed_Z_K, closed_Z_coh, factorized_Z, rank1_Z
+from .formulas import closed_Z_K, closed_Z_coh, factorized_Z
 from .localization import Z_loc_K, Z_loc_coh, Z_loc_ell, sample_point, verify_main
 from .partitions import Configuration, PlanePartition, enumerate_configurations
 from .series import QPSeries, QSeries
@@ -45,7 +45,6 @@ __all__ = [
     "exponents",
     "factorized_Z",
     "monomial",
-    "rank1_Z",
     "sample_point",
     "theta_eval",
     "verify_main",

@@ -103,10 +103,16 @@ def _weight_str(fields):
     return "*".join(parts) or "1"
 
 
-def t_monomial(i, power=1):
-    """The weight ``t_i**power``."""
+def check_leg(i):
+    """``i`` if it numbers a leg, 1..4; any other index raises ``ValueError``."""
     if not 1 <= i <= 4:
         raise ValueError("leg index must be 1..4")
+    return i
+
+
+def t_monomial(i, power=1):
+    """The weight ``t_i**power``."""
+    check_leg(i)
     texp = [0, 0, 0, 0]
     texp[i - 1] = 2 * power
     return monomial(texp)
@@ -427,9 +433,10 @@ def theta_sums(groups, p, order):
     they must resolve to an integer power of p (automatic at rank 0).
     Errors come in this order, each over the characters in group order: a
     nonzero fixed part (:class:`TrivialWeightError`), twelfths that are not
-    an integer power (:class:`FractionalPowerError`), a weight with no root
-    at the point, then a vanishing bracket factor, which makes the point
-    degenerate (:class:`PoleAtPointError`).
+    an integer power (:class:`FractionalPowerError`) or a negative one (a
+    ``ValueError`` that gives the rank), a weight with no root at the point,
+    then a vanishing bracket factor, which makes the point degenerate
+    (:class:`PoleAtPointError`).
     """
     order = check_order(order)
     chars = [V for group in groups for V in group]
@@ -442,6 +449,8 @@ def theta_sums(groups, p, order):
             raise FractionalPowerError(
                 f"aggregate elliptic prefactor p^({twelfths}/12) is not an integer power"
             )
+        if twelfths < 0:
+            raise ValueError(f"a character of rank {twelfths} has the prefactor p^({twelfths // 12})")
     bases = p.bases
     roots = {}  # weight -> its root and the root's value n/d as the pair (n, d)
     for V in chars:

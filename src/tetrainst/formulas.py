@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .algebra import Character, bracket_eval, euler_eval, eval_monomial, monomial, t_monomial
+from .algebra import Character, bracket_eval, check_leg, euler_eval, eval_monomial, monomial, t_monomial
 from .partitions import rank_vector
 from .series import QSeries, check_order, macmahon_power, plethystic_exp, rational
 
@@ -69,17 +69,15 @@ def closed_Z_K(rvec, order, p):
     return g.q_scale((-1) ** sum(rvec))
 
 
-def rank1_Z(i, order, p):
-    """The rank-1 series for leg ``i`` (the unit rank vector in slot i)."""
-    rvec = tuple(1 if k == i else 0 for k in range(1, 5))
-    return closed_Z_K(rvec, order, p)
-
-
 def factorization_scale(rvec, i, l):
     """The kappa-monomial rescaling the rank-1 factor in slot ``(i, l)``:
     ``kappa_i^((-r_i-1)/2 + l) * prod_(j != i) kappa_j^(r_j*sgn(i-j)/2)``.
-    The half powers are exact ``Fraction`` exponents."""
+    The half powers are exact ``Fraction`` exponents.  A slot the rank vector
+    does not have, a leg outside 1..4 or ``l`` outside ``1..r_i``, raises
+    ``ValueError``."""
     rvec = rank_vector(rvec)
+    if not 1 <= l <= rvec[check_leg(i) - 1]:
+        raise ValueError(f"leg {i} of rank vector {rvec} has no slot {l}")
     return _kappa_power(
         Fraction(-rj - 1, 2) + l if j == i else Fraction(rj * sgn(i - j), 2)
         for j, rj in enumerate(rvec, start=1)
@@ -94,7 +92,7 @@ def factorized_Z(rvec, order, p):
     for i in range(1, 5):
         if not rvec[i - 1]:
             continue
-        z = rank1_Z(i, order, p)
+        z = closed_Z_K(tuple(int(j == i) for j in range(1, 5)), order, p)
         for l in range(1, rvec[i - 1] + 1):
             c = eval_monomial(factorization_scale(rvec, i, l), p)
             out = out * z.q_scale(sign * c)

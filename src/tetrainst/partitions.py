@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .algebra import check_leg
 from .series import check_order
 
 
@@ -171,8 +172,7 @@ def enumerate_plane_partitions(n):
 
 def embed_to_solid(pp, i):
     """See a plane partition as a solid partition with the i-th coordinate 0."""
-    if not 1 <= i <= 4:
-        raise ValueError("leg index must be 1..4")
+    check_leg(i)
     return SolidPartition(box[: i - 1] + (0,) + box[i - 1 :] for box in pp)
 
 
@@ -186,8 +186,7 @@ def sign_rho_tilde(sp, i):
     """Parity of boxes whose other three coordinates, ``box[:i-1] + box[i:]``
     as :func:`embed_to_solid` inserts the i-th, are equal and strictly less
     than the i-th; zero on every embedded plane partition."""
-    if not 1 <= i <= 4:
-        raise ValueError("leg index must be 1..4")
+    check_leg(i)
     count = 0
     for box in sp.boxes:
         a, b, c = box[: i - 1] + box[i:]

@@ -64,7 +64,7 @@ class QSeries:
         return cls((c,) + (0,) * check_order(order))
 
     def coefficient(self, n):
-        return self.coeffs[n]
+        return self.coeffs[check_order(n)]
 
     def __eq__(self, other):
         return isinstance(other, QSeries) and self.coeffs == other.coeffs
@@ -211,10 +211,11 @@ class QPSeries:
         return self.rows[0].order
 
     def coefficient(self, q_pow, p_pow):
-        return self.rows[q_pow].coeffs[p_pow]
+        return self.rows[check_order(q_pow)].coefficient(p_pow)
 
     def p_slice(self, p_pow):
         """The q-series of coefficients of ``p**p_pow``."""
+        p_pow = check_order(p_pow)
         return QSeries([r.coeffs[p_pow] for r in self.rows])
 
     def __eq__(self, other):

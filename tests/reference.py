@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import prod
 
 from tetrainst.algebra import Character, bracket_eval, eval_monomial, monomial, t_monomial
-from tetrainst.formulas import rank1_Z, sgn
+from tetrainst.formulas import closed_Z_K, sgn
 from tetrainst.partitions import Configuration, PlanePartition
 from tetrainst.series import BadConstantTermError, QSeries
 from tetrainst.vertex import vertex_block
@@ -128,7 +128,7 @@ def rank1_relation_residual(p):
             texp[j - 1] -= 2
         texp[i - 1] -= 1
         coeff = eval_monomial(monomial(texp), p)
-        total += coeff * rank1_Z(i, 1, p).coefficient(1)
+        total += coeff * closed_Z_K(tuple(int(j == i) for j in range(1, 5)), 1, p).coefficient(1)
     return total
 
 

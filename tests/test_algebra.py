@@ -7,6 +7,7 @@ from operator import add
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from tetrainst import algebra
 from tetrainst.algebra import (
     FIELD_BITS,
     Character,
@@ -644,6 +645,29 @@ def test_euler_multiplicative():
     V = Character({t_monomial(1): 2})
     W = Character({w_monomial(0): 1})
     assert euler_eval(V + W, p) == euler_eval(V, p) * euler_eval(W, p)
+
+
+def test_theta_refuses_a_negative_prefactor_before_any_work(monkeypatch):
+    # the series of a negative rank starts below p^0; the rank is named
+    # before any root, bracket or Adams sum is computed
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(algebra, "_root_at", no_work)
+    p = EvalPoint((2, 3, 5), (7,))
+    valid = Character.of(t_monomial(1)) - Character.of(w_monomial(0))
+    negative, half = Character.of(t_monomial(1), -12), Character.of(t_monomial(1), 6)
+    message = r"a character of rank -12 has the prefactor p\^\(-1\)"
+    with pytest.raises(ValueError, match=message):
+        theta_eval(negative, p, 3)
+    for groups in ([[valid, negative]], [[valid], [negative]], [[negative], [half]]):
+        with pytest.raises(ValueError, match=message):
+            theta_sums(groups, p, 3)
+    # in character order, after the fractional check of each character
+    with pytest.raises(FractionalPowerError):
+        theta_sums([[valid, half], [negative]], p, 3)
+    with pytest.raises(ValueError, match="rank -24 has the prefactor"):
+        theta_eval(Character.of(t_monomial(1), -24), p, 0)
 
 
 def test_theta_constant_term_is_bracket():

@@ -24,7 +24,6 @@ from tetrainst.formulas import (
     factorization_scale,
     factorized_Z,
     kappa_rbar,
-    rank1_Z,
     sgn,
 )
 from tetrainst.localization import sample_until
@@ -98,17 +97,12 @@ def test_closed_Z_K_first_coefficient():
     assert got == want
 
 
-def test_rank1_leg4_is_unit_vector_formula():
-    p = kpoint(7)
-    assert rank1_Z(4, 3, p) == closed_Z_K((0, 0, 0, 1), 3, p)
-
-
 def test_rank1_symmetry_under_swap():
     # swapping a1 and a4 exchanges legs 1 and 4
     p = EvalPoint((Fraction(2, 3), Fraction(5, 7), Fraction(3, 4)))
     swapped = EvalPoint((p.sqrt_t[3], p.sqrt_t[1], p.sqrt_t[2]))
     assert swapped.sqrt_t[3] == p.sqrt_t[0]
-    assert rank1_Z(1, 3, swapped) == rank1_Z(4, 3, p)
+    assert closed_Z_K((1, 0, 0, 0), 3, swapped) == closed_Z_K((0, 0, 0, 1), 3, p)
 
 
 def test_factorization_scale_exponents():
@@ -117,6 +111,16 @@ def test_factorization_scale_exponents():
     assert factorization_scale((2, 0, 0, 0), 1, 2) == monomial((-1, 0, 0, 0))
     # a single rank-1 slot carries no rescaling at all
     assert factorization_scale((0, 0, 0, 1), 4, 1) == 0
+
+
+def test_factorization_scale_refuses_a_slot_the_rank_vector_lacks():
+    # factorized_Z has no factor there; legs 0 and 5 are in test_a_leg_outside_1_to_4_raises
+    for rvec, i, l in (
+        ((1, 1, 0, 0), 3, 1), ((1, 1, 0, 0), 1, 0), ((1, 1, 0, 0), 2, 2),
+        ((2, 0, 0, 1), 1, 3), ((2, 0, 0, 1), 4, 0), ((2, 0, 0, 1), 4, 2), ((2, 0, 0, 1), 2, 1),
+    ):
+        with pytest.raises(ValueError, match=f"leg {i} of rank vector .* has no slot {l}"):
+            factorization_scale(rvec, i, l)
 
 
 def _packed_kappa_power(exps):
@@ -142,7 +146,7 @@ def test_kappa_powers_are_the_docstring_exponents():
 
 def test_factorized_rank1_is_rank1():
     p = kpoint(11)
-    assert factorized_Z((0, 0, 0, 1), 3, p) == rank1_Z(4, 3, p)
+    assert factorized_Z((0, 0, 0, 1), 3, p) == closed_Z_K((0, 0, 0, 1), 3, p)
 
 
 @pytest.mark.parametrize("rvec", [(1, 1, 0, 0), (2, 0, 0, 0), (1, 0, 1, 0)])

@@ -11,11 +11,12 @@ from tetrainst.algebra import (
     EvalPoint,
     PoleAtPointError,
     bracket_eval,
+    eval_monomial,
     t_monomial,
     theta_eval,
     w_monomial,
 )
-from tetrainst.formulas import closed_Z_K, closed_Z_coh, factorized_Z
+from tetrainst.formulas import closed_Z_K, closed_Z_coh, factorization_scale, factorized_Z
 from tetrainst.localization import (
     SamplerExhaustedError,
     Z_loc_K,
@@ -531,6 +532,53 @@ def test_Z_loc_K_same_from_warm_and_cleared_caches():
     assert cold == closed_Z_K(rvec, 3, EvalPoint(sqrt_t3, sqrt_w))
 
 
+def _slots(rvec):
+    return [(i, l) for i in range(1, 5) for l in range(1, rvec[i - 1] + 1)]
+
+
+def _unit(i):
+    return tuple(int(j == i) for j in range(1, 5))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rvec, order", [
+    ((1, 1, 0, 0), 3), ((2, 0, 0, 1), 3), ((0, 0, 0, 3), 3), ((1, 1, 1, 0), 2),
+])
+def test_Z_loc_K_is_the_product_of_rescaled_rank1_localization_sums(rvec, order, seed):
+    # the paper's factorization with localization on both sides and no closed
+    # form: slot (i, l) gives leg i's rank-1 sum at the first framing, with
+    # q -> (-1)^(|r|+1) * factorization_scale(rvec, i, l) * q
+    sign = (-1) ** (sum(rvec) + 1)
+
+    def run(p):
+        rank1 = p.with_sqrt_w(p.sqrt_w[:1])
+        out = QSeries.one(order)
+        for i, l in _slots(rvec):
+            c = eval_monomial(factorization_scale(rvec, i, l), p)
+            out = out * Z_loc_K(_unit(i), order, rank1).q_scale(sign * c)
+        return Z_loc_K(rvec, order, p), out
+
+    (got, want), _, _ = sample_until(run, seed, rvec)
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rvec", [(1, 1, 0, 0), (2, 0, 0, 1), (0, 0, 0, 3)])
+def test_Z_loc_coh_is_the_product_of_rank1_localization_sums(rvec, seed):
+    # the cohomological limit of the factorization: q -> (-1)^(|r|+1) q, no rescaling
+    sign = (-1) ** (sum(rvec) + 1)
+
+    def run(p):
+        rank1 = CohPoint(p.s[:3], p.v[:1])
+        out = QSeries.one(3)
+        for i, _ in _slots(rvec):
+            out = out * Z_loc_coh(_unit(i), 3, rank1).q_scale(sign)
+        return Z_loc_coh(rvec, 3, p), out
+
+    (got, want), _, _ = sample_until(run, seed, rvec, "coh")
+    assert got == want
+
+
 _ELL_POINT = EvalPoint((2, 3, 5), (7,))
 
 
@@ -565,6 +613,19 @@ def test_a_negative_order_raises(call):
     # an order: a configuration of size n feeds the q^n term
     with pytest.raises(ValueError, match="a series needs at least its constant term"):
         call()
+
+
+@pytest.mark.parametrize("leg", [0, 5])
+@pytest.mark.parametrize("call", [
+    lambda i: t_monomial(i),
+    lambda i: partitions.embed_to_solid(PlanePartition(((0, 0, 0),)), i),
+    lambda i: partitions.sign_rho_tilde(partitions.SolidPartition(((0, 0, 0, 0),)), i),
+    lambda i: factorization_scale((1, 1, 1, 1), i, 1),
+], ids=["t_monomial", "embed_to_solid", "sign_rho_tilde", "factorization_scale"])
+def test_a_leg_outside_1_to_4_raises(call, leg):
+    # algebra.check_leg is the one leg rule
+    with pytest.raises(ValueError, match=r"leg index must be 1\.\.4"):
+        call(leg)
 
 
 @pytest.mark.parametrize("n", [0, -1])

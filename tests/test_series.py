@@ -256,3 +256,24 @@ def test_qpseries_basics():
     assert f == QPSeries(rows)
     with pytest.raises(ValueError):
         QPSeries([QSeries([1]), QSeries([1, 2])])
+
+
+def test_a_coefficient_read_refuses_a_negative_index():
+    # a negative index would read from the end, as a tuple's does
+    f = QSeries([1, 2, 3])
+    g = QPSeries([f, QSeries([0, 5, 0])])
+    for call in (
+        lambda: f.coefficient(-1),
+        lambda: g.coefficient(-1, 0),
+        lambda: g.coefficient(0, -1),
+        lambda: g.coefficient(-1, -1),
+        lambda: g.p_slice(-1),
+    ):
+        with pytest.raises(ValueError, match="a series needs at least its constant term"):
+            call()
+    # an index past the order is still an IndexError
+    for call in (lambda: f.coefficient(3), lambda: g.coefficient(2, 0), lambda: g.coefficient(0, 3),
+                 lambda: g.p_slice(3)):
+        with pytest.raises(IndexError):
+            call()
+    assert (f.coefficient(2), g.coefficient(1, 1), g.p_slice(2)) == (3, 5, QSeries([3, 0]))
